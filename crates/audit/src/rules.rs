@@ -102,8 +102,6 @@ pub const ENTRY_POINTS: &[(&str, &str)] = &[
     // the core crate's package name is plain `roadpart`.
     ("roadpart", "partition_network"),
     ("roadpart", "run_supervised"),
-    // Divide-and-conquer (sharded) partitioning mode.
-    ("roadpart", "partition_sharded"),
     // Stream engine epoch loop and ingest surface.
     ("roadpart-stream", "run_epoch"),
     ("roadpart-stream", "ingest"),

@@ -1,9 +1,9 @@
 //! BENCH_pipeline — end-to-end AG/ASG pipeline wall time, per stage, for
-//! the pre-PR solver configuration (full reorthogonalization, sequential
-//! reduction order in the solver, unpruned k-means, per-κ mining DP sweeps,
-//! fresh scratch buffers) against the optimized defaults (ω-monitored
-//! selective reorthogonalization, canonical lane kernels, bound-pruned
-//! k-means, shared mining DP sweeps, pooled workspaces).
+//! a baseline solver configuration (full reorthogonalization, unpruned
+//! k-means, fresh scratch buffers) against the optimized defaults
+//! (ω-monitored selective reorthogonalization, bound-pruned k-means, pooled
+//! workspaces). Both use the canonical lane kernels and the shared mining
+//! DP sweep, the only kernel order and mining path the library has.
 //!
 //! ```text
 //! cargo run -p roadpart-bench --release --bin pipeline_bench -- --runs 3
@@ -19,11 +19,6 @@
 //! steady-state spectral stage (retained workspace + warm artifacts, the
 //! online engine's epoch loop) against the cold baseline stage.
 //!
-//! A flat-vs-sharded scaling arm runs the ASG divide-and-conquer mode at
-//! 2/4/8 shards on every network, recording wall time against the flat
-//! pipeline plus the assembled partition's inter/intra/GDBI/ANS — the
-//! quality comparison that `integration_sharded` pins with per-metric ε.
-//!
 //! `--smoke` restricts the run to the smallest size with one repetition and
 //! keeps every internal validity check (finite, non-negative timings;
 //! successful pipelines), exiting non-zero on any violation — the CI
@@ -34,7 +29,7 @@ use roadpart_bench::{median, write_json};
 use roadpart_cut::{
     embedding_recovering_ws, spectral_partition_warm_ws, CutKind, SpectralArtifacts,
 };
-use roadpart_linalg::{KernelLayout, RecoveryLog, ReorthPolicy, ThreadPool, Workspace};
+use roadpart_linalg::{RecoveryLog, ReorthPolicy, ThreadPool, Workspace};
 use roadpart_net::RoadGraph;
 use serde_json::json;
 use std::time::Instant;
@@ -167,17 +162,13 @@ fn build_networks(grid_scale: f64, rings: usize, spokes: usize, seed: u64) -> Ve
         .collect()
 }
 
-/// The pre-PR solver configuration: full reorthogonalization every Lanczos
-/// iteration, exhaustive k-means scans, per-κ 1-D DP sweeps in the mining
-/// stage, and the solver-internal reductions in the historical sequential
-/// order (`KernelLayout::LegacyScalar`) rather than the canonical lane
-/// order. Everything else matches `opt`.
+/// The baseline solver configuration: full reorthogonalization every
+/// Lanczos iteration and exhaustive k-means scans. Everything else matches
+/// `opt`.
 fn baseline_cfg(scheme: Scheme, seed: u64, pool: ThreadPool) -> PipelineConfig {
     let mut cfg = optimized_cfg(scheme, seed, pool);
     cfg.framework.spectral.eigen.reorth = ReorthPolicy::Full;
-    cfg.framework.spectral.eigen.layout = KernelLayout::LegacyScalar;
     cfg.framework.spectral.kmeans.prune = false;
-    cfg.framework.mining.legacy_per_kappa_sweep = true;
     cfg
 }
 
@@ -400,87 +391,6 @@ fn spectral_stage_record(
     }))
 }
 
-/// Flat-vs-sharded scaling arm for one network (ASG, optimized
-/// defaults): median wall time of the divide-and-conquer pipeline at
-/// each shard count against the flat pipeline, plus the assembled
-/// partition's paper metrics — the report carries the same quality
-/// comparison that `integration_sharded` pins with per-metric ε.
-fn sharded_scaling_record(
-    case: &NetCase,
-    seed: u64,
-    pool: ThreadPool,
-    runs: usize,
-    shard_counts: &[usize],
-    failures: &mut u32,
-) -> roadpart::Result<serde_json::Value> {
-    let mut graph = RoadGraph::from_network(&case.net)?;
-    graph.set_features(case.densities.clone())?;
-    let affinity = roadpart_cut::gaussian_affinity_par(graph.adjacency(), graph.features(), &pool)?;
-    let quality_json = |labels: &[usize]| {
-        let q = QualityReport::compute(&affinity, graph.features(), labels);
-        let finite = [q.inter, q.intra, q.gdbi, q.ans]
-            .iter()
-            .all(|m| m.is_finite() && *m >= 0.0);
-        (
-            finite,
-            json!({"inter": q.inter, "intra": q.intra, "gdbi": q.gdbi, "ans": q.ans}),
-        )
-    };
-
-    let flat_cfg = optimized_cfg(Scheme::ASG, seed, pool);
-    let flat = sample_pipeline(&case.net, &case.densities, &flat_cfg, runs)?;
-    let flat_result = partition_network(&case.net, &case.densities, &flat_cfg)?;
-    let (flat_finite, flat_quality) = quality_json(flat_result.partition.labels());
-    if !flat.is_valid() || !flat_finite {
-        eprintln!("FAIL [{} sharded-arm flat]: invalid sample", case.family);
-        *failures += 1;
-    }
-
-    let mut arms = Vec::new();
-    for &shards in shard_counts {
-        let cfg = optimized_cfg(Scheme::ASG, seed, pool).with_shards(shards);
-        let sample = sample_pipeline(&case.net, &case.densities, &cfg, runs)?;
-        let result = partition_network(&case.net, &case.densities, &cfg)?;
-        let (finite, quality) = quality_json(result.partition.labels());
-        if !sample.is_valid() || !finite {
-            eprintln!(
-                "FAIL [{} sharded-arm shards={shards}]: invalid sample",
-                case.family
-            );
-            *failures += 1;
-        }
-        let outcome = result
-            .sharded
-            .as_ref()
-            .expect("sharded mode always reports an outcome");
-        println!(
-            "  sharded shards={shards}: {:.1} ms ({:.2}x vs flat{})",
-            sample.total_ms,
-            flat.total_ms / sample.total_ms.max(1e-9),
-            if outcome.flat_fallback {
-                ", flat fallback"
-            } else {
-                ""
-            }
-        );
-        arms.push(json!({
-            "shards": shards,
-            "sharded": sample.to_json(),
-            "speedup_vs_flat": flat.total_ms / sample.total_ms.max(1e-9),
-            "flat_fallback": outcome.flat_fallback,
-            "seam_repairs": outcome.seam_repairs,
-            "shard_sizes": outcome.shard_sizes.clone(),
-            "quality": quality,
-        }));
-    }
-    Ok(json!({
-        "scheme": "ASG",
-        "flat": flat.to_json(),
-        "flat_quality": flat_quality,
-        "arms": arms,
-    }))
-}
-
 fn main() -> std::process::ExitCode {
     match run() {
         Ok(0) => {
@@ -558,9 +468,6 @@ fn run() -> roadpart::Result<u32> {
                 }));
             }
             let spectral = spectral_stage_record(&case, args.seed, pool, &mut failures)?;
-            let shard_counts: &[usize] = if args.smoke { &[4] } else { &[2, 4, 8] };
-            let sharded =
-                sharded_scaling_record(&case, args.seed, pool, runs, shard_counts, &mut failures)?;
             if largest.map_or(true, |(seg, _, _)| n > seg) {
                 let red = spectral["eigensolve"]["alloc_reduction"].as_f64();
                 largest = Some((n, ag_speedup, red));
@@ -572,7 +479,6 @@ fn run() -> roadpart::Result<u32> {
                 "k": K,
                 "schemes": scheme_records,
                 "spectral_stage": spectral,
-                "sharded_scaling": sharded,
             }));
         }
     }
@@ -599,8 +505,8 @@ fn run() -> roadpart::Result<u32> {
             "k": K,
             "host_threads": host_threads,
             "alloc_counting": alloc_count().is_some(),
-            "baseline_config": "ReorthPolicy::Full + KernelLayout::LegacyScalar + KMeansConfig{prune: false} + MiningConfig{legacy_per_kappa_sweep: true} + fresh workspace",
-            "optimized_config": "ReorthPolicy::Selective + KernelLayout::RowMajor lane kernels + KMeansConfig{prune: true} + MiningConfig{legacy_per_kappa_sweep: false} + retained workspace",
+            "baseline_config": "ReorthPolicy::Full + KMeansConfig{prune: false} + fresh workspace",
+            "optimized_config": "ReorthPolicy::Selective + KMeansConfig{prune: true} + retained workspace",
             "networks": records,
             "largest": largest_rec,
         }),

@@ -8,17 +8,22 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses alternating `--flag value` tokens.
+    /// Parses alternating `--flag value` tokens, accepting only the flag
+    /// names in `known` (the flags the calling subcommand reads).
     ///
     /// # Errors
-    /// Returns a message for a dangling flag or a token that is not a flag.
-    pub fn parse(argv: &[String]) -> Result<Self, String> {
+    /// Returns a message for a dangling flag, a token that is not a flag, or
+    /// a flag outside `known`.
+    pub fn parse(argv: &[String], known: &[&str]) -> Result<Self, String> {
         let mut values = HashMap::new();
         let mut it = argv.iter();
         while let Some(flag) = it.next() {
             let Some(name) = flag.strip_prefix("--") else {
                 return Err(format!("expected a --flag, found '{flag}'"));
             };
+            if !known.contains(&name) {
+                return Err(format!("unknown flag --{name}"));
+            }
             let Some(value) = it.next() else {
                 return Err(format!("flag --{name} is missing its value"));
             };
@@ -62,9 +67,11 @@ mod tests {
         s.iter().map(|x| x.to_string()).collect()
     }
 
+    const KNOWN: &[&str] = &["k", "scheme"];
+
     #[test]
     fn parses_pairs() {
-        let a = Args::parse(&argv(&["--k", "6", "--scheme", "asg"])).unwrap();
+        let a = Args::parse(&argv(&["--k", "6", "--scheme", "asg"]), KNOWN).unwrap();
         assert_eq!(a.required("k").unwrap(), "6");
         assert_eq!(a.get_or("k", 0usize).unwrap(), 6);
         assert_eq!(a.optional("scheme"), Some("asg"));
@@ -74,10 +81,19 @@ mod tests {
 
     #[test]
     fn rejects_malformed() {
-        assert!(Args::parse(&argv(&["k", "6"])).is_err());
-        assert!(Args::parse(&argv(&["--k"])).is_err());
-        let a = Args::parse(&argv(&["--k", "x"])).unwrap();
+        assert!(Args::parse(&argv(&["k", "6"]), KNOWN).is_err());
+        assert!(Args::parse(&argv(&["--k"]), KNOWN).is_err());
+        let a = Args::parse(&argv(&["--k", "x"]), KNOWN).unwrap();
         assert!(a.get_or("k", 0usize).is_err());
         assert!(a.required("missing").is_err());
+    }
+
+    #[test]
+    fn rejects_unknown_flags() {
+        let err = Args::parse(&argv(&["--k", "4", "--shards", "4"]), KNOWN)
+            .err()
+            .unwrap();
+        assert_eq!(err, "unknown flag --shards");
+        assert!(Args::parse(&argv(&["--sheme", "ag"]), KNOWN).is_err());
     }
 }

@@ -18,7 +18,7 @@ USAGE:
   roadpart generate  --preset <d1|m1|m2|m3> [--scale F] [--seed N]
                      --out <network file> [--densities <densities file>]
   roadpart partition --net <network file> --k N [--scheme <ag|asg|ng|nsg|jg>]
-                     [--densities <densities file>] [--seed N] [--shards N]
+                     [--densities <densities file>] [--seed N]
                      [--labels <out labels>] [--geojson <out geojson>]
                      [--policy <clamp|strict>] [--attempts N]
                      [--report <out report json>]
@@ -36,19 +36,15 @@ USAGE:
                      [--threads N] [--from SEG --to SEG | --queries N]
 
 Files: networks use the roadpart text format; densities and labels are one
-value per line in segment order.
+value per line in segment order. A flag a command does not list above is a
+usage error.
 
 partition runs under a fault-tolerant supervisor: anomalous densities are
 sanitized per --policy (clamp repairs and records, strict fails fast),
 transient solver failures climb a fallback ladder and rotate seeds for up
 to --attempts tries, and supergraph schemes degrade to their direct
 counterpart when mining fails. --report writes the machine-readable run
-report (attempts, repairs, recovery rungs, timings) as JSON. --shards N
-(N > 1) switches to the divide-and-conquer mode: the network is split into
-N geometric shards (disconnected components are never merged into one
-shard), each shard is partitioned in parallel, the shard results are
-condensed and cut globally into k, and the seams are refined; a shard
-whose solve keeps failing degrades the run back to the flat pipeline.
+report (attempts, repairs, recovery rungs, timings) as JSON.
 
 stream replays the preset's simulated density trace through the online
 repartitioning engine: each epoch it aggregates the feed, probes drift, and
@@ -167,7 +163,7 @@ fn parse_policy(args: &Args) -> CliResult<SanitizePolicy> {
 
 /// `roadpart generate`: synthesize a network + simulated traffic densities.
 pub fn generate(argv: &[String]) -> CliResult<()> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &["preset", "scale", "seed", "out", "densities"])?;
     let preset = args.required("preset")?;
     let scale: f64 = args.get_or("scale", 0.5)?;
     let seed: u64 = args.get_or("seed", 42)?;
@@ -200,7 +196,21 @@ pub fn generate(argv: &[String]) -> CliResult<()> {
 /// `roadpart partition`: run the supervised framework and export labels /
 /// GeoJSON / the machine-readable run report.
 pub fn partition(argv: &[String]) -> CliResult<()> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(
+        argv,
+        &[
+            "net",
+            "k",
+            "scheme",
+            "densities",
+            "seed",
+            "labels",
+            "geojson",
+            "policy",
+            "attempts",
+            "report",
+        ],
+    )?;
     let net = load_network(args.required("net")?)?;
     let k: usize = args.get_or("k", 0)?;
     if k < 1 {
@@ -217,14 +227,8 @@ pub fn partition(argv: &[String]) -> CliResult<()> {
         (p.labels().to_vec(), p.k())
     } else {
         let scheme = parse_scheme(scheme_name)?;
-        let shards: usize = args.get_or("shards", 1)?;
-        let pipeline = PipelineConfig {
-            scheme,
-            k,
-            framework: FrameworkConfig::default().with_seed(seed),
-            mode: PartitionMode::Flat,
-        }
-        .with_shards(shards);
+        let mut pipeline = PipelineConfig::asg(k).with_seed(seed);
+        pipeline.scheme = scheme;
         let mut sup = SupervisorConfig::new(pipeline);
         sup.policy = parse_policy(&args)?;
         sup.max_attempts = args.get_or("attempts", 3)?;
@@ -241,19 +245,6 @@ pub fn partition(argv: &[String]) -> CliResult<()> {
                 "supergraph: {} supernodes from {} segments",
                 order,
                 net.segment_count()
-            );
-        }
-        if let Some(sharded) = &result.sharded {
-            println!(
-                "sharded: {} shard(s), fine k' = {}, {} boundary move(s){}",
-                sharded.shard_sizes.len(),
-                sharded.fine_k,
-                sharded.boundary_moves,
-                if sharded.flat_fallback {
-                    " — degraded to the flat pipeline"
-                } else {
-                    ""
-                }
             );
         }
         if !report.validation.repairs.is_empty() {
@@ -336,7 +327,23 @@ pub fn stream(argv: &[String]) -> CliResult<()> {
     use roadpart_stream::{DeadlineMode, EngineConfig, EpochAction, StreamEngine, StreamLog};
     use roadpart_traffic::Scenario;
 
-    let args = Args::parse(argv)?;
+    let args = Args::parse(
+        argv,
+        &[
+            "preset",
+            "scale",
+            "seed",
+            "k",
+            "epochs",
+            "aggregate",
+            "warm",
+            "log",
+            "scenario",
+            "budget-ms",
+            "deadline",
+            "retries",
+        ],
+    )?;
     let preset = args.optional("preset").unwrap_or("d1");
     let scale: f64 = args.get_or("scale", 0.35)?;
     let seed: u64 = args.get_or("seed", 42)?;
@@ -519,7 +526,12 @@ pub fn serve(argv: &[String]) -> CliResult<()> {
     use roadpart_stream::PartitionStore;
     use std::sync::Arc;
 
-    let args = Args::parse(argv)?;
+    let args = Args::parse(
+        argv,
+        &[
+            "preset", "scale", "seed", "k", "scheme", "cost", "threads", "from", "to", "queries",
+        ],
+    )?;
     let preset = args.optional("preset").unwrap_or("d1");
     let scale: f64 = args.get_or("scale", 0.35)?;
     let seed: u64 = args.get_or("seed", 42)?;
@@ -621,7 +633,7 @@ pub fn serve(argv: &[String]) -> CliResult<()> {
 
 /// `roadpart metrics`: evaluate an existing labeling.
 pub fn metrics(argv: &[String]) -> CliResult<()> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &["net", "labels", "densities"])?;
     let net = load_network(args.required("net")?)?;
     let densities = resolve_densities(&args, &net)?;
     let labels: Vec<usize> = load_column(args.required("labels")?, "label")?;
@@ -650,7 +662,7 @@ pub fn metrics(argv: &[String]) -> CliResult<()> {
 
 /// `roadpart select-k`: sweep k and report the ANS-optimal choice.
 pub fn select_k(argv: &[String]) -> CliResult<()> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &["net", "densities", "kmax", "scheme", "seed"])?;
     let net = load_network(args.required("net")?)?;
     let densities = resolve_densities(&args, &net)?;
     let kmax: usize = args.get_or("kmax", 12)?;

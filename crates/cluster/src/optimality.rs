@@ -155,7 +155,7 @@ fn measure_point(values: &[f64], km: &KMeans1d, kappa: usize) -> Result<Optimali
 /// [`kmeans_1d_sweep`]): each clustering — and therefore every measure — is
 /// bitwise-identical to an independent [`kmeans_1d`] run, but the DP cost
 /// drops from `Σκ` layers to `max κ`. [`optimality_sweep_legacy`] keeps the
-/// historical per-`kappa` resolve for benchmarks and differential tests.
+/// historical per-`kappa` resolve as the oracle for differential tests.
 ///
 /// # Errors
 /// Propagates k-means failures (`kappa` out of range, non-finite values).
@@ -186,8 +186,7 @@ pub fn optimality_sweep(
 
 /// The pre-shared-sweep [`optimality_sweep`]: an independent DP re-solve
 /// per `kappa`. Produces bitwise-identical output at `Σκ`-layer cost; kept
-/// as the baseline arm of `pipeline_bench` and the reference side of the
-/// shared-vs-legacy differential tests.
+/// as the reference side of the shared-vs-legacy differential tests.
 ///
 /// # Errors
 /// Propagates k-means failures (`kappa` out of range, non-finite values).

@@ -47,7 +47,6 @@ pub mod pipeline;
 pub mod sanitize;
 pub mod schemes;
 pub mod select;
-pub mod sharded;
 pub mod stability;
 pub mod supergraph;
 pub mod superlink;
@@ -58,13 +57,14 @@ pub use error::{Result, RoadpartError};
 pub use faults::{Fault, FaultPlan};
 pub use jg::{jg_partition, JgConfig};
 pub use mining::{mine_supergraph, MiningConfig, MiningOutcome};
-pub use pipeline::{partition_network, PipelineConfig, PipelineResult, PipelineTimings};
+pub use pipeline::{
+    partition_network, PartitionMode, PipelineConfig, PipelineResult, PipelineTimings,
+};
 pub use sanitize::{
     check_dual_graph, sanitize_densities, AnomalyKind, Repair, SanitizePolicy, ValidationReport,
 };
 pub use schemes::{run_scheme, FrameworkConfig, Scheme, SchemeOutcome};
 pub use select::{select_k, KCandidate, KSelection};
-pub use sharded::{partition_sharded, PartitionMode, ShardConfig, ShardedOutcome};
 pub use stability::{stability, stability_check, StableSupernode};
 pub use supergraph::{Supergraph, Supernode};
 pub use superlink::{build_superlinks, build_superlinks_par};
@@ -80,11 +80,10 @@ pub mod prelude {
     pub use crate::faults::{Fault, FaultPlan};
     pub use crate::jg::{jg_partition, JgConfig};
     pub use crate::mining::{mine_supergraph, MiningConfig};
-    pub use crate::pipeline::{partition_network, PipelineConfig, PipelineResult};
+    pub use crate::pipeline::{partition_network, PartitionMode, PipelineConfig, PipelineResult};
     pub use crate::sanitize::{sanitize_densities, SanitizePolicy, ValidationReport};
     pub use crate::schemes::{run_scheme, FrameworkConfig, Scheme};
     pub use crate::select::{select_k, KSelection};
-    pub use crate::sharded::{partition_sharded, PartitionMode, ShardConfig};
     pub use crate::supergraph::Supergraph;
     pub use crate::supervisor::{run_supervised, RunReport, SupervisedRun, SupervisorConfig};
     pub use roadpart_cut::{Partition, RefineStrategy, SpectralConfig};

@@ -18,8 +18,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use roadpart_cluster::{
-    constrained_components, kmeans_1d, kmeans_1d_sweep, optimality_sweep, optimality_sweep_legacy,
-    KMeans1d, OptimalityPoint,
+    constrained_components, kmeans_1d_sweep, optimality_sweep, KMeans1d, OptimalityPoint,
 };
 use roadpart_net::RoadGraph;
 use serde::{Deserialize, Serialize};
@@ -44,16 +43,6 @@ pub struct MiningConfig {
     pub stability_threshold: f64,
     /// RNG seed (sampling only; k-means itself is deterministic).
     pub seed: u64,
-    /// Re-solve the 1-D k-means DP independently for every κ the mining
-    /// pass touches (steps 1 and 3) — the historical code path — instead of
-    /// sharing one DP sweep across the whole κ range. The outcome is
-    /// bitwise-identical either way (see
-    /// `roadpart_cluster::kmeans_1d_sweep`); the legacy resolve exists for
-    /// the benchmark baseline arm and differential tests. Default: `false`
-    /// (shared sweep), which is also what configurations serialized before
-    /// this knob deserialize to.
-    #[serde(default)]
-    pub legacy_per_kappa_sweep: bool,
     /// Thread pool for the superlink weighting pass. Bit-identical at any
     /// pool size (see `roadpart_linalg::par`), so it is excluded from the
     /// serialized configuration and defaults to `ROADPART_THREADS`.
@@ -70,7 +59,6 @@ impl Default for MiningConfig {
             sample_size: 2_000,
             stability_threshold: 0.0,
             seed: 0,
-            legacy_per_kappa_sweep: false,
             pool: roadpart_linalg::ThreadPool::from_env(),
         }
     }
@@ -129,11 +117,7 @@ pub fn mine_supergraph(graph: &RoadGraph, cfg: &MiningConfig) -> Result<MiningOu
         features.to_vec()
     };
     let kappa_hi = cfg.kappa_max.min(sample.len().saturating_sub(1)).max(2);
-    let sweep = if cfg.legacy_per_kappa_sweep {
-        optimality_sweep_legacy(&sample, 2..=kappa_hi)?
-    } else {
-        optimality_sweep(&sample, 2..=kappa_hi)?
-    };
+    let sweep = optimality_sweep(&sample, 2..=kappa_hi)?;
 
     // --- Step 2: threshold and shortlist. ---
     let max_mcg = sweep
@@ -161,25 +145,17 @@ pub fn mine_supergraph(graph: &RoadGraph, cfg: &MiningConfig) -> Result<MiningOu
     //     wins (lines 10-16). ---
     let adjacency = graph.adjacency();
     // All shortlisted κ are solved by one shared DP to the largest clamped
-    // κ (bitwise-identical per-κ clusterings; see kmeans_1d_sweep). The
-    // legacy arm re-solves the DP per κ.
+    // κ (bitwise-identical per-κ clusterings; see kmeans_1d_sweep).
     let clamped: Vec<usize> = shortlisted
         .iter()
         .map(|&kappa| kappa.min(n - 1).max(1))
         .collect();
-    let full_sweep = if cfg.legacy_per_kappa_sweep {
-        None
-    } else {
-        let hi = clamped.iter().copied().max().unwrap_or(1);
-        Some(kmeans_1d_sweep(features, hi)?)
-    };
+    let hi = clamped.iter().copied().max().unwrap_or(1);
+    let full_sweep = kmeans_1d_sweep(features, hi)?;
     let mut best: Option<(usize, usize, Vec<usize>, Vec<f64>)> = None; // (components, kappa, comp labels, centers)
     let mut components_per_kappa = Vec::with_capacity(shortlisted.len());
     for &kappa in &clamped {
-        let km: KMeans1d = match &full_sweep {
-            Some(sweep) => sweep.extract(kappa)?,
-            None => kmeans_1d(features, kappa)?,
-        };
+        let km: KMeans1d = full_sweep.extract(kappa)?;
         let comp = constrained_components(adjacency, Some(&km.assignments))?;
         let count = comp.iter().copied().max().map_or(0, |m| m + 1);
         components_per_kappa.push((kappa, count));
@@ -378,79 +354,24 @@ mod tests {
         assert_eq!(a.supergraph.member_of(), b.supergraph.member_of());
     }
 
-    /// A larger graph with gently sloped plateaus so the sweep, shortlist,
-    /// and full-data clustering all do non-trivial work.
-    fn sloped_graph() -> RoadGraph {
-        let n = 400;
-        let mut edges = Vec::new();
-        for i in 0..n - 1 {
-            edges.push((i, i + 1, 1.0));
-            if i % 17 == 0 && i + 5 < n {
-                edges.push((i, i + 5, 0.5));
-            }
-        }
-        let adj = CsrMatrix::from_undirected_edges(n, &edges).unwrap();
-        let features: Vec<f64> = (0..n)
-            .map(|i| (i / 40) as f64 * 0.8 + ((i * 31) % 13) as f64 * 1e-3)
-            .collect();
-        RoadGraph::from_parts(adj, features, vec![]).unwrap()
-    }
-
-    #[test]
-    fn shared_sweep_bitwise_matches_legacy_mining_path() {
-        for graph in [plateau_graph(), sloped_graph()] {
-            let shared = mine_supergraph(&graph, &MiningConfig::default()).unwrap();
-            let legacy = mine_supergraph(
-                &graph,
-                &MiningConfig {
-                    legacy_per_kappa_sweep: true,
-                    ..MiningConfig::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(shared.chosen_kappa, legacy.chosen_kappa);
-            assert_eq!(shared.shortlisted, legacy.shortlisted);
-            assert_eq!(shared.threshold.to_bits(), legacy.threshold.to_bits());
-            assert_eq!(shared.components_per_kappa, legacy.components_per_kappa);
-            assert_eq!(shared.sweep.len(), legacy.sweep.len());
-            for (s, l) in shared.sweep.iter().zip(&legacy.sweep) {
-                assert_eq!(s.kappa, l.kappa);
-                assert_eq!(s.mcg.to_bits(), l.mcg.to_bits());
-                assert_eq!(s.gain.to_bits(), l.gain.to_bits());
-                assert_eq!(s.balance.to_bits(), l.balance.to_bits());
-            }
-            assert_eq!(shared.supergraph.member_of(), legacy.supergraph.member_of());
-            let sf = |o: &MiningOutcome| {
-                o.supergraph
-                    .nodes()
-                    .iter()
-                    .map(|s| s.feature.to_bits())
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(sf(&shared), sf(&legacy));
-            let st = |o: &MiningOutcome| {
-                o.stabilities
-                    .iter()
-                    .map(|s| s.to_bits())
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(st(&shared), st(&legacy));
-        }
-    }
-
     #[test]
     fn mining_config_deserializes_without_shared_sweep_field() {
-        // Serialized configs from before the shared-sweep knob must load
-        // with the optimized path on.
-        let json = r#"{
-            "kappa_max": 30,
+        // Serialized configs from before the shared-sweep knob, and from
+        // while it existed (its `legacy_per_kappa_sweep` field is now
+        // ignored), must still load.
+        let fields = r#""kappa_max": 30,
             "mcg_threshold": null,
             "mcg_threshold_frac": 0.9,
             "sample_size": 2000,
             "stability_threshold": 0.0,
-            "seed": 0
-        }"#;
-        let cfg: MiningConfig = serde_json::from_str(json).unwrap();
-        assert!(!cfg.legacy_per_kappa_sweep);
+            "seed": 0"#;
+        for json in [
+            format!("{{{fields}}}"),
+            format!("{{{fields}, \"legacy_per_kappa_sweep\": true}}"),
+        ] {
+            let cfg: MiningConfig = serde_json::from_str(&json).unwrap();
+            assert_eq!(cfg.kappa_max, 30);
+            assert_eq!(cfg.sample_size, 2000);
+        }
     }
 }

@@ -11,7 +11,6 @@
 
 use crate::error::{Result, RoadpartError};
 use crate::schemes::{run_scheme, FrameworkConfig, Scheme, SchemeOutcome};
-use crate::sharded::{partition_sharded, PartitionMode, ShardConfig, ShardedOutcome};
 use roadpart_cut::Partition;
 use roadpart_linalg::RecoveryLog;
 use roadpart_net::{RoadGraph, RoadNetwork};
@@ -28,9 +27,21 @@ pub struct PipelineConfig {
     pub k: usize,
     /// Mining + spectral settings.
     pub framework: FrameworkConfig,
-    /// Flat (one global solve) or sharded (divide-and-conquer; see
-    /// [`crate::sharded`]).
+    /// Always [`PartitionMode::Flat`]; see that type for why it is kept.
     pub mode: PartitionMode,
+}
+
+/// How the pipeline distributes the partitioning work. It has one value:
+/// one global solve over the whole road graph, as in the paper. The
+/// divide-and-conquer sharded mode was removed after it measured slower
+/// than flat at every size up to M3 (DESIGN.md); the type and
+/// [`PipelineConfig::mode`] remain only so code that spells out a full
+/// `PipelineConfig` literal keeps compiling. Nothing matches on it.
+#[derive(Debug, Clone, Copy, Default)]
+pub enum PartitionMode {
+    /// One global solve over the whole road graph.
+    #[default]
+    Flat,
 }
 
 impl PipelineConfig {
@@ -62,32 +73,6 @@ impl PipelineConfig {
     /// Convenience for [`PipelineConfig::with_pool`] from a thread count.
     pub fn with_threads(self, threads: usize) -> Self {
         self.with_pool(roadpart_linalg::ThreadPool::new(threads))
-    }
-
-    /// Selects the sparse-operator memory layout for the spectral hot path
-    /// (see `roadpart_linalg::layout`). `RowMajor` and `Blocked` are purely
-    /// performance knobs with bit-identical products (as `kernels_bench`
-    /// asserts); `LegacyScalar` is the bench-only pre-lane emulation arm.
-    pub fn with_layout(mut self, layout: roadpart_linalg::KernelLayout) -> Self {
-        self.framework.spectral.eigen.layout = layout;
-        self
-    }
-
-    /// Switches the pipeline into divide-and-conquer mode with `shards`
-    /// geometric shards (`shards <= 1` keeps the flat pipeline).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.mode = if shards > 1 {
-            PartitionMode::Sharded(ShardConfig::new(shards))
-        } else {
-            PartitionMode::Flat
-        };
-        self
-    }
-
-    /// Sets the full sharded-mode configuration.
-    pub fn with_shard_config(mut self, shard: ShardConfig) -> Self {
-        self.mode = PartitionMode::Sharded(shard);
-        self
     }
 }
 
@@ -125,8 +110,6 @@ pub struct PipelineResult {
     pub recovery: RecoveryLog,
     /// The full scheme outcome (mining diagnostics etc.).
     pub outcome: SchemeOutcome,
-    /// Sharded-mode diagnostics (`None` for the flat pipeline).
-    pub sharded: Option<ShardedOutcome>,
 }
 
 /// True when stage-boundary structural validation is active: every debug
@@ -164,23 +147,9 @@ pub fn partition_network(
     }
 
     // Modules 2 + 3 run inside run_scheme, which clocks the mining phase
-    // itself; module 3 is the remainder. Sharded mode folds per-shard
-    // mining into the shard solves, so its mining_time reads zero and the
-    // whole divide-and-conquer run lands in module 3.
+    // itself; module 3 is the remainder.
     let t1 = Instant::now();
-    let (outcome, sharded) = match &cfg.mode {
-        PartitionMode::Flat => (run_scheme(&graph, cfg.scheme, cfg.k, &cfg.framework)?, None),
-        PartitionMode::Sharded(shard) => {
-            let out = partition_sharded(&graph, cfg.scheme, cfg.k, &cfg.framework, shard)?;
-            let outcome = SchemeOutcome {
-                partition: out.partition.clone(),
-                mining: None,
-                mining_time: Duration::ZERO,
-                recovery: out.recovery.clone(),
-            };
-            (outcome, Some(out))
-        }
-    };
+    let outcome = run_scheme(&graph, cfg.scheme, cfg.k, &cfg.framework)?;
     let rest = t1.elapsed();
     let module2 = outcome.mining_time.min(rest);
     let module3 = rest.saturating_sub(module2);
@@ -217,7 +186,6 @@ pub fn partition_network(
         },
         recovery: outcome.recovery.clone(),
         outcome,
-        sharded,
     })
 }
 
@@ -279,21 +247,6 @@ mod tests {
         .unwrap();
         let n_comp = comp.iter().copied().max().map_or(0, |m| m + 1);
         assert_eq!(n_comp, result.partition.k());
-    }
-
-    #[test]
-    fn sharded_pipeline_end_to_end() {
-        let (net, densities) = small_net_and_densities();
-        let cfg = PipelineConfig::asg(4).with_seed(5).with_shards(4);
-        let result = partition_network(&net, &densities, &cfg).unwrap();
-        assert_eq!(result.partition.len(), net.segment_count());
-        assert_eq!(result.partition.k(), 4);
-        let sharded = result.sharded.expect("sharded diagnostics present");
-        assert_eq!(
-            sharded.shard_sizes.iter().sum::<usize>(),
-            net.segment_count()
-        );
-        assert_eq!(result.timings.module2, Duration::ZERO);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 
 use crate::error::{CutError, Result};
 use roadpart_linalg::{
-    sym_eigs, sym_eigs_recovering_ws, BlockedCsrMatrix, CsrMatrix, DenseMatrix, DiagScaledOp,
-    EigenConfig, FallbackConfig, KernelLayout, RankOneUpdate, RecoveryLog, SymOp, Which, Workspace,
+    sym_eigs, sym_eigs_recovering_ws, CsrMatrix, DenseMatrix, DiagScaledOp, EigenConfig,
+    FallbackConfig, RankOneUpdate, RecoveryLog, Which, Workspace,
 };
 use serde::{Deserialize, Serialize};
 
@@ -37,33 +37,6 @@ fn validate(adj: &CsrMatrix) -> Result<()> {
     Ok(())
 }
 
-/// Solves for the `nev` smallest eigenvectors of the α-Cut operator built
-/// on `base`. Generic over the base so both CSR layouts (row-major and
-/// blocked, which produce bit-identical products) share one code path.
-fn alpha_vectors<B: SymOp + Sync>(
-    base: &B,
-    d: Vec<f64>,
-    scale: f64,
-    nev: usize,
-    eig: &EigenConfig,
-) -> Result<DenseMatrix> {
-    let op = RankOneUpdate::new(base, d, scale, -1.0)?;
-    let dec = sym_eigs(&op, nev, Which::Smallest, eig)?;
-    Ok(dec.vectors)
-}
-
-/// Counterpart of [`alpha_vectors`] for the normalized Laplacian.
-fn ncut_vectors<B: SymOp + Sync>(
-    base: &B,
-    d_inv_sqrt: Vec<f64>,
-    nev: usize,
-    eig: &EigenConfig,
-) -> Result<DenseMatrix> {
-    let op = DiagScaledOp::new(base, d_inv_sqrt, -1.0, 1.0)?;
-    let dec = sym_eigs(&op, nev, Which::Smallest, eig)?;
-    Ok(dec.vectors)
-}
-
 /// The `k` smallest eigenvectors of the α-Cut matrix as columns of an
 /// `n x k` matrix (the relaxed cluster indicator vectors).
 ///
@@ -77,16 +50,9 @@ pub fn alpha_embedding(adj: &CsrMatrix, k: usize, eig: &EigenConfig) -> Result<D
     let s: f64 = d.iter().sum();
     // M = d d^T / s - A; for an edgeless graph (s = 0) M = -A = 0.
     let scale = if s > 0.0 { 1.0 / s } else { 0.0 };
-    match eig.layout {
-        // LegacyScalar keeps the row-major operator; the layout only
-        // switches the solver-internal reduction order (see linalg::layout).
-        KernelLayout::RowMajor | KernelLayout::LegacyScalar => {
-            alpha_vectors(adj, d, scale, nev, eig)
-        }
-        KernelLayout::Blocked => {
-            alpha_vectors(&BlockedCsrMatrix::from_csr(adj), d, scale, nev, eig)
-        }
-    }
+    let op = RankOneUpdate::new(adj, d, scale, -1.0)?;
+    let dec = sym_eigs(&op, nev, Which::Smallest, eig)?;
+    Ok(dec.vectors)
 }
 
 /// The `k` smallest eigenvectors of the normalized Laplacian as columns of
@@ -107,14 +73,9 @@ pub fn ncut_embedding(adj: &CsrMatrix, k: usize, eig: &EigenConfig) -> Result<De
         .iter()
         .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
         .collect();
-    match eig.layout {
-        KernelLayout::RowMajor | KernelLayout::LegacyScalar => {
-            ncut_vectors(adj, d_inv_sqrt, nev, eig)
-        }
-        KernelLayout::Blocked => {
-            ncut_vectors(&BlockedCsrMatrix::from_csr(adj), d_inv_sqrt, nev, eig)
-        }
-    }
+    let op = DiagScaledOp::new(adj, d_inv_sqrt, -1.0, 1.0)?;
+    let dec = sym_eigs(&op, nev, Which::Smallest, eig)?;
+    Ok(dec.vectors)
 }
 
 /// Dispatches to the embedding matching `kind`.
@@ -160,7 +121,6 @@ pub fn embedding_recovering(
 ///
 /// # Errors
 /// Same as [`embedding_recovering`].
-#[allow(clippy::too_many_arguments)]
 pub fn embedding_recovering_ws(
     adj: &CsrMatrix,
     k: usize,
@@ -173,37 +133,12 @@ pub fn embedding_recovering_ws(
     validate(adj)?;
     let n = adj.dim();
     let nev = k.min(n);
-    match eig.layout {
-        KernelLayout::RowMajor | KernelLayout::LegacyScalar => {
-            recovering_vectors(adj, adj, kind, eig, fallback, log, ws, nev)
-        }
-        KernelLayout::Blocked => {
-            let blocked = BlockedCsrMatrix::from_csr(adj);
-            recovering_vectors(adj, &blocked, kind, eig, fallback, log, ws, nev)
-        }
-    }
-}
-
-/// Shared body of [`embedding_recovering_ws`], generic over the operator
-/// base layout. `adj` supplies the degree vector (identical under both
-/// layouts); `base` is what the solver applies.
-#[allow(clippy::too_many_arguments)]
-fn recovering_vectors<B: SymOp + Sync>(
-    adj: &CsrMatrix,
-    base: &B,
-    kind: CutKind,
-    eig: &EigenConfig,
-    fallback: &FallbackConfig,
-    log: &mut RecoveryLog,
-    ws: &mut Workspace,
-    nev: usize,
-) -> Result<DenseMatrix> {
     match kind {
         CutKind::Alpha => {
             let d = adj.degrees();
             let s: f64 = d.iter().sum();
             let scale = if s > 0.0 { 1.0 / s } else { 0.0 };
-            let op = RankOneUpdate::new(base, d, scale, -1.0)?;
+            let op = RankOneUpdate::new(adj, d, scale, -1.0)?;
             let dec = sym_eigs_recovering_ws(&op, nev, Which::Smallest, eig, fallback, log, ws)?;
             Ok(dec.vectors)
         }
@@ -213,7 +148,7 @@ fn recovering_vectors<B: SymOp + Sync>(
                 .iter()
                 .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
                 .collect();
-            let op = DiagScaledOp::new(base, d_inv_sqrt, -1.0, 1.0)?;
+            let op = DiagScaledOp::new(adj, d_inv_sqrt, -1.0, 1.0)?;
             let dec = sym_eigs_recovering_ws(&op, nev, Which::Smallest, eig, fallback, log, ws)?;
             Ok(dec.vectors)
         }

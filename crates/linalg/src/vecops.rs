@@ -101,8 +101,7 @@ pub fn norm2(a: &[f64]) -> f64 {
 }
 
 /// Euclidean norm in the historical left-to-right order ([`dot_seq`]).
-/// Reference arm for the scalar-vs-lanes differentials and the
-/// [`crate::layout::KernelLayout::LegacyScalar`] bench emulation.
+/// Reference arm for the scalar-vs-lanes differentials.
 #[inline]
 pub fn norm2_seq(a: &[f64]) -> f64 {
     dot_seq(a, a).sqrt()
@@ -288,6 +287,7 @@ mod tests {
         for n in 0..LANES {
             let a: Vec<f64> = (0..n).map(|i| (i as f64).sin() + 0.5).collect();
             assert_eq!(dot(&a, &a).to_bits(), dot_seq(&a, &a).to_bits());
+            assert_eq!(norm2(&a).to_bits(), norm2_seq(&a).to_bits());
         }
     }
 

@@ -42,10 +42,7 @@ use crate::report::EpochReport;
 use crate::snapshot::PartitionStore;
 use roadpart::pipeline::STRICT_INVARIANTS;
 use roadpart::sanitize::{sanitize_densities, SanitizePolicy};
-use roadpart::{
-    error_chain, partition_sharded, repartition_regions, DistributedConfig, FrameworkConfig,
-    PartitionMode, Scheme,
-};
+use roadpart::{error_chain, repartition_regions, DistributedConfig};
 use roadpart_cut::{
     gaussian_affinity_par, spectral_partition_warm_ws, CutKind, Partition, SpectralArtifacts,
     SpectralConfig,
@@ -77,12 +74,6 @@ pub struct EngineConfig {
     pub warm_start: bool,
     /// Self-healing knobs: deadlines, retries, quarantine thresholds.
     pub resilience: ResilienceConfig,
-    /// How global rebuilds are executed: one whole-network spectral solve
-    /// ([`PartitionMode::Flat`], the default) or the divide-and-conquer
-    /// sharded pipeline ([`PartitionMode::Sharded`]). Sharded rebuilds skip
-    /// the warm-start artifacts (each shard solves its own subgraph) but
-    /// keep the same retry/degradation ladder.
-    pub mode: PartitionMode,
 }
 
 impl EngineConfig {
@@ -99,20 +90,7 @@ impl EngineConfig {
             regional: DistributedConfig::default(),
             warm_start: true,
             resilience: ResilienceConfig::default(),
-            mode: PartitionMode::Flat,
         }
-    }
-
-    /// Switches global rebuilds to the sharded divide-and-conquer pipeline
-    /// with `shards` geometric shards (`shards <= 1` keeps the flat solve).
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.mode = if shards > 1 {
-            PartitionMode::Sharded(roadpart::ShardConfig::new(shards))
-        } else {
-            PartitionMode::Flat
-        };
-        self
     }
 
     /// Re-seeds the stochastic components.
@@ -629,32 +607,6 @@ impl StreamEngine {
         spectral: &SpectralConfig,
     ) -> Result<(Partition, bool)> {
         self.graph.set_features(densities.to_vec())?;
-        if let PartitionMode::Sharded(shard) = &self.cfg.mode {
-            // Divide-and-conquer rebuild: per-shard solves + cross-shard
-            // condensation. The scheme mirrors the configured cut (no
-            // supergraph mining — the engine's feed is already a dual
-            // graph with live densities). Warm-start artifacts do not
-            // apply across shard subgraphs; seed rotation still works
-            // because the shard seeds derive from the spectral seed.
-            let scheme = match self.cfg.cut {
-                CutKind::Alpha => Scheme::AG,
-                CutKind::Normalized => Scheme::NG,
-            };
-            let mut framework = FrameworkConfig {
-                spectral: spectral.clone(),
-                ..FrameworkConfig::default()
-            };
-            framework.mining.seed = spectral.kmeans.seed;
-            let out = partition_sharded(
-                &self.graph,
-                scheme,
-                self.cfg.k.min(self.graph.node_count()),
-                &framework,
-                shard,
-            )
-            .map_err(StreamError::Framework)?;
-            return Ok((out.partition, false));
-        }
         let affinity = gaussian_affinity_par(
             self.graph.adjacency(),
             self.graph.features(),
@@ -787,42 +739,6 @@ mod tests {
             "steady-state global rebuild must not allocate workspace buffers"
         );
         assert!(engine.workspace.takes() > 0, "workspace is actually in use");
-    }
-
-    #[test]
-    fn sharded_mode_rebuilds_and_publishes() {
-        let graph = plateau_graph(4);
-        let n = graph.node_count();
-        let cfg = EngineConfig::new(4).with_shards(2);
-        let mut engine = StreamEngine::new(graph, cfg).unwrap();
-        let snap = engine.store().read();
-        assert_eq!(snap.k, 4);
-        assert_eq!(snap.len(), n);
-        for _ in 0..3 {
-            engine.ingest(&flipped(n)).unwrap();
-        }
-        let report = engine.run_epoch().unwrap();
-        assert_eq!(report.action, EpochAction::Global);
-        assert!(!report.warm_started, "sharded rebuilds skip warm starts");
-        assert_eq!(report.version, 2);
-        assert_eq!(engine.store().read().k, 4);
-    }
-
-    #[test]
-    fn sharded_mode_recovers_from_injected_faults() {
-        let graph = plateau_graph(4);
-        let n = graph.node_count();
-        let cfg = EngineConfig::new(4).with_shards(2);
-        let mut engine = StreamEngine::new(graph, cfg).unwrap();
-        engine.arm_fault_injection(1);
-        for _ in 0..3 {
-            engine.ingest(&flipped(n)).unwrap();
-        }
-        let report = engine.run_epoch().unwrap();
-        assert_eq!(report.action, EpochAction::Global, "retry, not degrade");
-        assert_eq!(report.resilience.attempts.len(), 2);
-        assert!(report.resilience.attempts[1].succeeded);
-        assert_eq!(report.health, HealthState::Healthy);
     }
 
     #[test]
