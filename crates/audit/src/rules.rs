@@ -118,9 +118,7 @@ pub const ENTRY_POINTS: &[(&str, &str)] = &[
 /// Hot-set roots `(crate, fn)`: the solver and serving kernels whose
 /// call-graph closure defines where per-call allocation is budgeted.
 pub const HOT_ROOTS: &[(&str, &str)] = &[
-    ("roadpart-linalg", "sym_eigs"),
     ("roadpart-linalg", "sym_eigs_ws"),
-    ("roadpart-linalg", "sym_eigs_recovering"),
     ("roadpart-linalg", "sym_eigs_recovering_ws"),
     ("roadpart-cluster", "kmeans"),
     ("roadpart-serve", "run_forward"),
@@ -623,7 +621,7 @@ fn cold(xs: &[f64]) -> f64 { xs.iter().sum() }
             (
                 "roadpart-linalg",
                 "crates/linalg/src/lanczos.rs",
-                "pub fn sym_eigs(xs: &[f64]) -> f64 { crate::par::chunk_sum(xs) }\n",
+                "pub fn sym_eigs_ws(xs: &[f64]) -> f64 { crate::par::chunk_sum(xs) }\n",
             ),
             (
                 "roadpart-linalg",
@@ -651,7 +649,7 @@ fn cold(xs: &[f64]) -> f64 { xs.iter().sum() }
                 "roadpart-linalg",
                 "crates/linalg/src/lanczos.rs",
                 "\
-pub fn sym_eigs(xs: &[f64]) -> f64 {
+pub fn sym_eigs_ws(xs: &[f64]) -> f64 {
     crate::vecops::dot(xs) + crate::csr::row_sum(xs)
 }
 ",

@@ -31,7 +31,7 @@
 //! non-finite, or no scenario is ever detected.
 
 use roadpart_bench::write_json;
-use roadpart_cut::{gaussian_affinity, spectral_partition, CutKind, SpectralConfig};
+use roadpart_cut::{alpha_cut, gaussian_affinity, SpectralConfig};
 use roadpart_eval::QualityReport;
 use roadpart_net::RoadGraph;
 use roadpart_stream::{EngineConfig, EpochAction, StreamEngine};
@@ -225,7 +225,7 @@ fn run_case(
             Ok(a) => a,
             Err(e) => return failed_case(scenario, policy, &format!("affinity: {e}")),
         };
-        let oracle = match spectral_partition(&affinity, K, CutKind::Alpha, &oracle_cfg) {
+        let oracle = match alpha_cut(&affinity, K, &oracle_cfg) {
             Ok(p) => p,
             Err(e) => return failed_case(scenario, policy, &format!("oracle: {e}")),
         };

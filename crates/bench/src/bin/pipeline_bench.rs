@@ -25,7 +25,7 @@
 //! perf-smoke gate is just this exit code.
 
 use roadpart::prelude::*;
-use roadpart_bench::{median, write_json};
+use roadpart_bench::{median, provenance, write_json};
 use roadpart_cut::{
     embedding_recovering_ws, spectral_partition_warm_ws, CutKind, SpectralArtifacts,
 };
@@ -499,6 +499,7 @@ fn run() -> roadpart::Result<u32> {
         "BENCH_pipeline",
         &json!({
             "bench": "pipeline",
+            "provenance": provenance(),
             "seed": args.seed,
             "runs": runs,
             "smoke": args.smoke,

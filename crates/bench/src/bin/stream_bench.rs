@@ -16,9 +16,9 @@
 
 use roadpart_bench::{median, write_json, ExpArgs};
 use roadpart_cut::{
-    gaussian_affinity, spectral_partition_warm, CutKind, SpectralArtifacts, SpectralConfig,
+    gaussian_affinity, spectral_partition_warm_ws, CutKind, SpectralArtifacts, SpectralConfig,
 };
-use roadpart_linalg::{CsrMatrix, RecoveryLog};
+use roadpart_linalg::{CsrMatrix, RecoveryLog, Workspace};
 use roadpart_net::RoadGraph;
 use serde_json::json;
 use std::time::Instant;
@@ -56,13 +56,22 @@ fn replay(affinities: &[CsrMatrix], seed: u64, warm: bool) -> roadpart::Result<V
     let mut log = RecoveryLog::new();
     // Untimed initial solve seeds the warm chain (the engine's
     // initialization epoch).
-    let (_, mut artifacts) =
-        spectral_partition_warm(&affinities[0], K, CutKind::Alpha, &cfg, None, &mut log)?;
+    let (_, mut artifacts) = spectral_partition_warm_ws(
+        &affinities[0],
+        K,
+        CutKind::Alpha,
+        &cfg,
+        None,
+        &mut log,
+        &mut Workspace::new(),
+    )?;
     let mut times = Vec::with_capacity(affinities.len() - 1);
     for aff in &affinities[1..] {
         let prev = if warm { Some(&artifacts) } else { None };
         let t0 = Instant::now();
-        let (_, next) = spectral_partition_warm(aff, K, CutKind::Alpha, &cfg, prev, &mut log)?;
+        let mut ws = Workspace::new();
+        let (_, next) =
+            spectral_partition_warm_ws(aff, K, CutKind::Alpha, &cfg, prev, &mut log, &mut ws)?;
         times.push(t0.elapsed().as_secs_f64() * 1e3);
         artifacts = if warm {
             next

@@ -86,6 +86,34 @@ pub fn median(xs: &mut [f64]) -> f64 {
     }
 }
 
+/// Where a record was measured: the checkout's git revision
+/// (`git describe --always --dirty`; null outside a git checkout) and the
+/// host's OS, architecture, CPU model and hardware thread count.
+pub fn provenance() -> serde_json::Value {
+    let git_rev = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            let line = info.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split_once(':')?.1.trim().to_string())
+        });
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    serde_json::json!({
+        "git_rev": git_rev,
+        "host": {
+            "os": std::env::consts::OS,
+            "arch": std::env::consts::ARCH,
+            "cpu": cpu,
+            "threads": threads,
+        },
+    })
+}
+
 /// Writes an experiment record to `target/experiments/<name>.json`.
 pub fn write_json(name: &str, value: &serde_json::Value) {
     let dir = PathBuf::from("target/experiments");

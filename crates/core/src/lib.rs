@@ -86,7 +86,7 @@ pub mod prelude {
     pub use crate::select::{select_k, KSelection};
     pub use crate::supergraph::Supergraph;
     pub use crate::supervisor::{run_supervised, RunReport, SupervisedRun, SupervisorConfig};
-    pub use roadpart_cut::{Partition, RefineStrategy, SpectralConfig};
+    pub use roadpart_cut::{Partition, SpectralConfig};
     pub use roadpart_eval::QualityReport;
     pub use roadpart_net::{RoadGraph, RoadNetwork, UrbanConfig};
     pub use roadpart_traffic::{CongestionField, MntgConfig, TemporalProfile};

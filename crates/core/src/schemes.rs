@@ -15,9 +15,9 @@
 use crate::error::Result;
 use crate::mining::{mine_supergraph, MiningConfig, MiningOutcome};
 use roadpart_cut::{
-    gaussian_affinity_par, spectral_partition_recovering, CutKind, Partition, SpectralConfig,
+    gaussian_affinity_par, spectral_partition_warm_ws, CutKind, Partition, SpectralConfig,
 };
-use roadpart_linalg::RecoveryLog;
+use roadpart_linalg::{RecoveryLog, Workspace};
 use roadpart_net::RoadGraph;
 use serde::{Deserialize, Serialize};
 
@@ -141,12 +141,14 @@ pub fn run_scheme(
         let mining_time = t0.elapsed();
         let sg = &mining.supergraph;
         let k_eff = k.min(sg.order());
-        let super_partition = spectral_partition_recovering(
+        let (super_partition, _) = spectral_partition_warm_ws(
             sg.adjacency(),
             k_eff,
             scheme.cut_kind(),
             &cfg.spectral,
+            None,
             &mut recovery,
+            &mut Workspace::new(),
         )?;
         let labels = sg.expand_labels(super_partition.labels())?;
         Ok(SchemeOutcome {
@@ -158,12 +160,14 @@ pub fn run_scheme(
     } else {
         let affinity =
             gaussian_affinity_par(graph.adjacency(), graph.features(), &cfg.spectral.pool())?;
-        let partition = spectral_partition_recovering(
+        let (partition, _) = spectral_partition_warm_ws(
             &affinity,
             k,
             scheme.cut_kind(),
             &cfg.spectral,
+            None,
             &mut recovery,
+            &mut Workspace::new(),
         )?;
         Ok(SchemeOutcome {
             partition,

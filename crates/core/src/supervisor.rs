@@ -7,7 +7,7 @@
 //!    checked for degeneracy ([`crate::sanitize`]);
 //! 2. transient numerical failures are retried up to
 //!    [`SupervisorConfig::max_attempts`] times, rotating the seed of every
-//!    stochastic component between attempts;
+//!    stochastic component by [`SEED_STRIDE`] between attempts;
 //! 3. when a supergraph scheme keeps failing (or its mining stage fails
 //!    structurally), the run degrades to the matching direct scheme
 //!    (ASG → AG, NSG → NG) and retries there;
@@ -25,6 +25,11 @@ use roadpart_linalg::RecoveryLog;
 use roadpart_net::{RoadGraph, RoadNetwork};
 use serde::{Deserialize, Serialize};
 
+/// Seed offset between consecutive retry attempts, so a retry is not a
+/// bit-identical rerun of the failure. The first attempt runs exactly as
+/// configured; the stream engine's epoch retries rotate by the same stride.
+pub const SEED_STRIDE: u64 = 0x9e37_79b9;
+
 /// Configuration for [`run_supervised`].
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
@@ -35,9 +40,6 @@ pub struct SupervisorConfig {
     /// Attempts per scheme (the original and, if degradation kicks in, the
     /// direct fallback each get this many). Clamped to at least 1.
     pub max_attempts: usize,
-    /// Seed offset between consecutive attempts; the first attempt runs the
-    /// pipeline exactly as configured.
-    pub seed_stride: u64,
     /// Permit ASG → AG / NSG → NG degradation when the supergraph scheme is
     /// out of attempts or fails structurally in mining.
     pub allow_degradation: bool,
@@ -51,7 +53,6 @@ impl SupervisorConfig {
             pipeline,
             policy: SanitizePolicy::ClampAndWarn,
             max_attempts: 3,
-            seed_stride: 0x9e37_79b9,
             allow_degradation: true,
         }
     }
@@ -157,7 +158,7 @@ pub fn run_supervised(
             let attempt = attempts.len();
             let mut run_cfg = cfg.pipeline.clone();
             run_cfg.scheme = scheme;
-            let seed = base_seed.wrapping_add(attempt as u64 * cfg.seed_stride);
+            let seed = base_seed.wrapping_add(attempt as u64 * SEED_STRIDE);
             if attempt > 0 {
                 run_cfg = run_cfg.with_seed(seed);
             }

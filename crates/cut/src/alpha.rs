@@ -10,16 +10,17 @@
 
 use crate::embedding::CutKind;
 use crate::error::Result;
-use crate::kway::{spectral_partition, SpectralConfig};
+use crate::kway::{spectral_partition_warm_ws, SpectralConfig};
 use crate::partition::Partition;
-use roadpart_linalg::CsrMatrix;
+use roadpart_linalg::{CsrMatrix, RecoveryLog, Workspace};
 
 /// Partitions a weighted graph into `k` groups by minimizing the α-Cut.
 ///
 /// # Errors
-/// See [`spectral_partition`].
+/// See [`spectral_partition_warm_ws`].
 pub fn alpha_cut(adj: &CsrMatrix, k: usize, cfg: &SpectralConfig) -> Result<Partition> {
-    spectral_partition(adj, k, CutKind::Alpha, cfg)
+    let (mut log, mut ws) = (RecoveryLog::new(), Workspace::new());
+    spectral_partition_warm_ws(adj, k, CutKind::Alpha, cfg, None, &mut log, &mut ws).map(|(p, _)| p)
 }
 
 #[cfg(test)]

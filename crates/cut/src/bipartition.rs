@@ -1,12 +1,15 @@
 //! Two-way spectral cuts (the primitive of the recursive refinement).
 
-use crate::embedding::{embedding, row_normalize, CutKind};
+use crate::embedding::{row_normalize, CutKind, CutOperator};
 use crate::error::Result;
 use roadpart_cluster::{kmeans, KMeansConfig};
-use roadpart_linalg::{CsrMatrix, EigenConfig};
+use roadpart_linalg::{sym_eigs_ws, CsrMatrix, EigenConfig, Which, Workspace};
 
 /// Splits a weighted graph into exactly two non-empty sides using the given
 /// cut's 2-dimensional spectral embedding, returning 0/1 labels.
+///
+/// The 2-way solve runs without the solver fallback ladder: the ladder's
+/// dense last resort would densify every recursion level's subgraph.
 ///
 /// Degenerate situations are handled so that *progress is guaranteed* for
 /// any graph with at least two nodes — required for termination of the
@@ -32,7 +35,8 @@ pub fn bipartition(
     if n == 2 {
         return Ok(vec![0, 1]);
     }
-    let mut y = embedding(adj, 2, kind, eig)?;
+    let op = CutOperator::new(adj, kind)?;
+    let mut y = sym_eigs_ws(&op, 2, Which::Smallest, eig, &mut Workspace::new())?.vectors;
     row_normalize(&mut y);
     let km = kmeans(&y, 2, km_cfg)?;
     let mut labels = km.assignments;

@@ -8,8 +8,8 @@
 
 use crate::error::{CutError, Result};
 use roadpart_linalg::{
-    sym_eigs, sym_eigs_recovering_ws, CsrMatrix, DenseMatrix, DiagScaledOp, EigenConfig,
-    FallbackConfig, RankOneUpdate, RecoveryLog, Which, Workspace,
+    sym_eigs_recovering_ws, CsrMatrix, DenseMatrix, DiagScaledOp, EigenConfig, FallbackConfig,
+    RankOneUpdate, RecoveryLog, SymOp, ThreadPool, Which, Workspace,
 };
 use serde::{Deserialize, Serialize};
 
@@ -20,6 +20,74 @@ pub enum CutKind {
     Alpha,
     /// The normalized cut of Shi & Malik (baseline).
     Normalized,
+}
+
+/// The matrix-free cut matrix of one [`CutKind`] over an adjacency.
+pub(crate) enum CutOperator<'a> {
+    /// `M = d dᵀ / (1ᵀD1) − A`.
+    Alpha(RankOneUpdate<'a, CsrMatrix>),
+    /// `L_sym = I − D^{-1/2} A D^{-1/2}`.
+    Normalized(DiagScaledOp<'a, CsrMatrix>),
+}
+
+impl<'a> CutOperator<'a> {
+    /// Validates `adj` and builds the cut matrix of `kind` over it.
+    ///
+    /// For an edgeless graph (`1ᵀD1 = 0`) the α-Cut matrix is `−A = 0`.
+    /// Zero-degree (isolated) nodes get `d^{-1/2} = 0`: their rows of
+    /// `L_sym` reduce to the identity, leaving them spectrally inert, and
+    /// they fall out as singleton components later in the pipeline.
+    ///
+    /// # Errors
+    /// Rejects asymmetric or negative input.
+    pub(crate) fn new(adj: &'a CsrMatrix, kind: CutKind) -> Result<Self> {
+        validate(adj)?;
+        let d = adj.degrees();
+        Ok(match kind {
+            CutKind::Alpha => {
+                let s: f64 = d.iter().sum();
+                let scale = if s > 0.0 { 1.0 / s } else { 0.0 };
+                CutOperator::Alpha(RankOneUpdate::new(adj, d, scale, -1.0)?)
+            }
+            CutKind::Normalized => {
+                let d_inv_sqrt = d
+                    .iter()
+                    .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
+                    .collect();
+                CutOperator::Normalized(DiagScaledOp::new(adj, d_inv_sqrt, -1.0, 1.0)?)
+            }
+        })
+    }
+}
+
+impl SymOp for CutOperator<'_> {
+    fn dim(&self) -> usize {
+        match self {
+            CutOperator::Alpha(op) => op.dim(),
+            CutOperator::Normalized(op) => op.dim(),
+        }
+    }
+
+    fn apply(&self, x: &[f64], y: &mut [f64]) {
+        match self {
+            CutOperator::Alpha(op) => op.apply(x, y),
+            CutOperator::Normalized(op) => op.apply(x, y),
+        }
+    }
+
+    fn apply_par(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) {
+        match self {
+            CutOperator::Alpha(op) => op.apply_par(pool, x, y),
+            CutOperator::Normalized(op) => op.apply_par(pool, x, y),
+        }
+    }
+
+    fn apply_par_ws(&self, pool: &ThreadPool, ws: &mut Workspace, x: &[f64], y: &mut [f64]) {
+        match self {
+            CutOperator::Alpha(op) => op.apply_par_ws(pool, ws, x, y),
+            CutOperator::Normalized(op) => op.apply_par_ws(pool, ws, x, y),
+        }
+    }
 }
 
 /// Validates adjacency preconditions shared by both embeddings.
@@ -37,90 +105,21 @@ fn validate(adj: &CsrMatrix) -> Result<()> {
     Ok(())
 }
 
-/// The `k` smallest eigenvectors of the α-Cut matrix as columns of an
-/// `n x k` matrix (the relaxed cluster indicator vectors).
-///
-/// # Errors
-/// Propagates eigensolver failures; rejects asymmetric or negative input.
-pub fn alpha_embedding(adj: &CsrMatrix, k: usize, eig: &EigenConfig) -> Result<DenseMatrix> {
-    validate(adj)?;
-    let n = adj.dim();
-    let nev = k.min(n);
-    let d = adj.degrees();
-    let s: f64 = d.iter().sum();
-    // M = d d^T / s - A; for an edgeless graph (s = 0) M = -A = 0.
-    let scale = if s > 0.0 { 1.0 / s } else { 0.0 };
-    let op = RankOneUpdate::new(adj, d, scale, -1.0)?;
-    let dec = sym_eigs(&op, nev, Which::Smallest, eig)?;
-    Ok(dec.vectors)
-}
-
-/// The `k` smallest eigenvectors of the normalized Laplacian as columns of
-/// an `n x k` matrix.
-///
-/// Zero-degree (isolated) nodes get `d^{-1/2} = 0`: their rows of `L_sym`
-/// reduce to the identity, leaving them spectrally inert, and they fall out
-/// as singleton components later in the pipeline.
-///
-/// # Errors
-/// Propagates eigensolver failures; rejects asymmetric or negative input.
-pub fn ncut_embedding(adj: &CsrMatrix, k: usize, eig: &EigenConfig) -> Result<DenseMatrix> {
-    validate(adj)?;
-    let n = adj.dim();
-    let nev = k.min(n);
-    let d_inv_sqrt: Vec<f64> = adj
-        .degrees()
-        .iter()
-        .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
-        .collect();
-    let op = DiagScaledOp::new(adj, d_inv_sqrt, -1.0, 1.0)?;
-    let dec = sym_eigs(&op, nev, Which::Smallest, eig)?;
-    Ok(dec.vectors)
-}
-
-/// Dispatches to the embedding matching `kind`.
-///
-/// # Errors
-/// See [`alpha_embedding`] / [`ncut_embedding`].
-pub fn embedding(
-    adj: &CsrMatrix,
-    k: usize,
-    kind: CutKind,
-    eig: &EigenConfig,
-) -> Result<DenseMatrix> {
-    match kind {
-        CutKind::Alpha => alpha_embedding(adj, k, eig),
-        CutKind::Normalized => ncut_embedding(adj, k, eig),
-    }
-}
-
-/// [`embedding`] behind the solver fallback ladder: non-convergence and
+/// The `k` smallest eigenvectors of `kind`'s cut matrix as columns of an
+/// `n x k` matrix (the relaxed cluster indicator vectors; `k` is clamped
+/// to `n`), solved behind the solver fallback ladder: non-convergence and
 /// non-finite Ritz values trigger progressively more forgiving solver
 /// configurations instead of failing the cut outright. Every attempt is
 /// recorded in `log`.
 ///
+/// Every solver scratch buffer comes from `ws`. Passing the same workspace
+/// across calls (the warm-solve loop of the online engine) keeps the
+/// Lanczos restart loop allocation-free after the first solve; results are
+/// bit-identical to a fresh workspace.
+///
 /// # Errors
 /// Rejects asymmetric or negative input immediately; returns the last
 /// rung's numerical error if the whole ladder is exhausted.
-pub fn embedding_recovering(
-    adj: &CsrMatrix,
-    k: usize,
-    kind: CutKind,
-    eig: &EigenConfig,
-    fallback: &FallbackConfig,
-    log: &mut RecoveryLog,
-) -> Result<DenseMatrix> {
-    embedding_recovering_ws(adj, k, kind, eig, fallback, log, &mut Workspace::new())
-}
-
-/// [`embedding_recovering`] drawing every solver scratch buffer from `ws`.
-///
-/// Passing the same workspace across calls (the warm-solve loop of the
-/// online engine) keeps the Lanczos restart loop allocation-free after the
-/// first solve; results are bit-identical to the fresh-workspace path.
-///
-/// # Errors
-/// Same as [`embedding_recovering`].
 pub fn embedding_recovering_ws(
     adj: &CsrMatrix,
     k: usize,
@@ -130,29 +129,10 @@ pub fn embedding_recovering_ws(
     log: &mut RecoveryLog,
     ws: &mut Workspace,
 ) -> Result<DenseMatrix> {
-    validate(adj)?;
-    let n = adj.dim();
-    let nev = k.min(n);
-    match kind {
-        CutKind::Alpha => {
-            let d = adj.degrees();
-            let s: f64 = d.iter().sum();
-            let scale = if s > 0.0 { 1.0 / s } else { 0.0 };
-            let op = RankOneUpdate::new(adj, d, scale, -1.0)?;
-            let dec = sym_eigs_recovering_ws(&op, nev, Which::Smallest, eig, fallback, log, ws)?;
-            Ok(dec.vectors)
-        }
-        CutKind::Normalized => {
-            let d_inv_sqrt: Vec<f64> = adj
-                .degrees()
-                .iter()
-                .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
-                .collect();
-            let op = DiagScaledOp::new(adj, d_inv_sqrt, -1.0, 1.0)?;
-            let dec = sym_eigs_recovering_ws(&op, nev, Which::Smallest, eig, fallback, log, ws)?;
-            Ok(dec.vectors)
-        }
-    }
+    let op = CutOperator::new(adj, kind)?;
+    let nev = k.min(adj.dim());
+    let dec = sym_eigs_recovering_ws(&op, nev, Which::Smallest, eig, fallback, log, ws)?;
+    Ok(dec.vectors)
 }
 
 /// Row-normalizes `Y` into `Z` (Eq. 8): each row is scaled to unit length.
@@ -187,6 +167,12 @@ mod tests {
     use super::*;
     use roadpart_linalg::eigh;
 
+    fn embed(adj: &CsrMatrix, k: usize, kind: CutKind) -> Result<DenseMatrix> {
+        let (eig, fb) = (EigenConfig::default(), FallbackConfig::default());
+        let mut log = RecoveryLog::new();
+        embedding_recovering_ws(adj, k, kind, &eig, &fb, &mut log, &mut Workspace::new())
+    }
+
     /// Two triangles joined by one weak link — an obvious 2-partition.
     fn two_triangles() -> CsrMatrix {
         CsrMatrix::from_undirected_edges(
@@ -207,7 +193,7 @@ mod tests {
     #[test]
     fn alpha_embedding_matches_dense_eigensolve() {
         let a = two_triangles();
-        let y = alpha_embedding(&a, 2, &EigenConfig::default()).unwrap();
+        let y = embed(&a, 2, CutKind::Alpha).unwrap();
         let dense = eigh(&dense_alpha_matrix(&a)).unwrap();
         // Column spans must agree: check eigenvalue residuals of y columns.
         let m = dense_alpha_matrix(&a);
@@ -228,7 +214,7 @@ mod tests {
     #[test]
     fn alpha_embedding_separates_clusters() {
         let a = two_triangles();
-        let mut y = alpha_embedding(&a, 2, &EigenConfig::default()).unwrap();
+        let mut y = embed(&a, 2, CutKind::Alpha).unwrap();
         row_normalize(&mut y);
         // Rows within each triangle should nearly coincide, across should not.
         let dist = |p: usize, q: usize| -> f64 {
@@ -248,7 +234,7 @@ mod tests {
     fn ncut_embedding_constant_direction_for_connected_graph() {
         // The smallest eigenvalue of L_sym is 0 with eigenvector D^{1/2} 1.
         let a = two_triangles();
-        let y = ncut_embedding(&a, 1, &EigenConfig::default()).unwrap();
+        let y = embed(&a, 1, CutKind::Normalized).unwrap();
         let d = a.degrees();
         let col = y.col(0);
         // col should be proportional to sqrt(d).
@@ -271,24 +257,24 @@ mod tests {
     #[test]
     fn rejects_asymmetric_and_negative() {
         let asym = CsrMatrix::from_triplets(2, &[(0, 1, 1.0)]).unwrap();
-        assert!(alpha_embedding(&asym, 1, &EigenConfig::default()).is_err());
+        assert!(embed(&asym, 1, CutKind::Alpha).is_err());
         let neg = CsrMatrix::from_undirected_edges(2, &[(0, 1, -1.0)]).unwrap();
-        assert!(ncut_embedding(&neg, 1, &EigenConfig::default()).is_err());
+        assert!(embed(&neg, 1, CutKind::Normalized).is_err());
     }
 
     #[test]
     fn k_clamped_to_dimension() {
         let a = two_triangles();
-        let y = alpha_embedding(&a, 10, &EigenConfig::default()).unwrap();
+        let y = embed(&a, 10, CutKind::Alpha).unwrap();
         assert_eq!(y.cols(), 6);
     }
 
     #[test]
     fn edgeless_graph_handled() {
         let a = CsrMatrix::from_triplets(4, &[]).unwrap();
-        let y = alpha_embedding(&a, 2, &EigenConfig::default()).unwrap();
+        let y = embed(&a, 2, CutKind::Alpha).unwrap();
         assert_eq!(y.rows(), 4);
-        let y2 = ncut_embedding(&a, 2, &EigenConfig::default()).unwrap();
+        let y2 = embed(&a, 2, CutKind::Normalized).unwrap();
         assert_eq!(y2.cols(), 2);
     }
 }

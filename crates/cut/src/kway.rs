@@ -20,21 +20,16 @@ use roadpart_linalg::{
 };
 use serde::{Deserialize, Serialize};
 
-/// How k′ ≠ k is resolved.
+/// How k′ > k is resolved. Only the paper's choice exists; the enum stays
+/// because the paper-scale benchmark reads [`SpectralConfig::refine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RefineStrategy {
     /// Global recursive bipartitioning of the condensed graph (the paper's
     /// choice, efficient for large k′).
     RecursiveBipartition,
-    /// Greedy pruning: merge the most-connected adjacent pair until k
-    /// (the paper's alternative; quadratic in k′).
-    GreedyMerge,
-    /// Keep the k′ natural partitions ("These k′ partitions may be accepted
-    /// as the final result", §5.4).
-    AcceptNatural,
 }
 
-/// Configuration for [`spectral_partition`].
+/// Configuration for [`spectral_partition_warm_ws`].
 #[derive(Debug, Clone)]
 pub struct SpectralConfig {
     /// Eigensolver settings.
@@ -42,7 +37,7 @@ pub struct SpectralConfig {
     /// Eigenspace k-means settings (seeded; the paper reports medians over
     /// repeated runs because of this randomization).
     pub kmeans: KMeansConfig,
-    /// k′ ≠ k resolution strategy.
+    /// k′ > k resolution strategy.
     pub refine: RefineStrategy,
     /// Re-split any final partition that ends up spatially disconnected
     /// (condition C.2). Recursive bipartitioning of the condensed graph can
@@ -97,7 +92,7 @@ impl SpectralConfig {
 ///
 /// When the graph changes only slightly between runs (the online
 /// repartitioning setting), feeding the previous run's artifacts back into
-/// [`spectral_partition_warm`] seeds the Lanczos iteration with the old
+/// [`spectral_partition_warm_ws`] seeds the Lanczos iteration with the old
 /// eigenvectors and eigenspace k-means with the old centroids, cutting the
 /// dominant costs of the pipeline. Both hints are validated downstream and
 /// silently dropped when stale (dimension mismatch, non-finite entries), so
@@ -125,69 +120,26 @@ impl SpectralArtifacts {
 /// Partitions a weighted symmetric graph into `k` groups using the chosen
 /// spectral cut. See the module docs for the pipeline.
 ///
+/// The main embedding runs behind the solver fallback ladder configured in
+/// [`SpectralConfig::fallback`], and every attempt lands in `log`.
+///
+/// `warm` optionally seeds the eigensolver and k-means from a previous
+/// run's [`SpectralArtifacts`]; this run's artifacts are returned for the
+/// next one. Stale artifacts (wrong dimensions for the current graph or
+/// `k`) are ignored per-component, so callers can pass whatever they
+/// captured last without revalidating. For `k == n` (singleton partitions)
+/// no spectral work happens and empty artifacts are returned.
+///
+/// The eigensolver's scratch buffers come from the caller-owned `ws`. The
+/// online repartitioning engine passes a retained workspace every epoch, so
+/// after the first (cold) solve the spectral stage runs its hot loops
+/// allocation-free; one-shot callers pass `&mut Workspace::new()`. Results
+/// are bit-identical either way — the workspace only recycles buffer
+/// *capacity*, never contents.
+///
 /// # Errors
 /// Returns [`CutError::BadPartitionCount`] for `k == 0` or `k > n`, plus any
 /// eigensolver/k-means failure.
-pub fn spectral_partition(
-    adj: &CsrMatrix,
-    k: usize,
-    kind: CutKind,
-    cfg: &SpectralConfig,
-) -> Result<Partition> {
-    let mut log = RecoveryLog::new();
-    spectral_partition_recovering(adj, k, kind, cfg, &mut log)
-}
-
-/// [`spectral_partition`] that additionally reports solver fallback
-/// activity: the main embedding runs behind the ladder configured in
-/// [`SpectralConfig::fallback`], and every attempt lands in `log`.
-///
-/// # Errors
-/// Same as [`spectral_partition`].
-pub fn spectral_partition_recovering(
-    adj: &CsrMatrix,
-    k: usize,
-    kind: CutKind,
-    cfg: &SpectralConfig,
-    log: &mut RecoveryLog,
-) -> Result<Partition> {
-    spectral_partition_warm(adj, k, kind, cfg, None, log).map(|(p, _)| p)
-}
-
-/// [`spectral_partition_recovering`] with warm-start support: optionally
-/// seeds the eigensolver and k-means from a previous run's
-/// [`SpectralArtifacts`], and returns this run's artifacts for the next one.
-///
-/// Stale artifacts (wrong dimensions for the current graph or `k`) are
-/// ignored per-component, so callers can pass whatever they captured last
-/// without revalidating. For `k == n` (singleton partitions) no spectral
-/// work happens and empty artifacts are returned.
-///
-/// # Errors
-/// Same as [`spectral_partition`].
-pub fn spectral_partition_warm(
-    adj: &CsrMatrix,
-    k: usize,
-    kind: CutKind,
-    cfg: &SpectralConfig,
-    warm: Option<&SpectralArtifacts>,
-    log: &mut RecoveryLog,
-) -> Result<(Partition, SpectralArtifacts)> {
-    let mut ws = Workspace::new();
-    spectral_partition_warm_ws(adj, k, kind, cfg, warm, log, &mut ws)
-}
-
-/// [`spectral_partition_warm`] drawing the eigensolver's scratch buffers
-/// from a caller-owned [`Workspace`].
-///
-/// The online repartitioning engine calls this every epoch with a retained
-/// workspace, so after the first (cold) solve the spectral stage of every
-/// subsequent epoch runs its hot loops allocation-free. Results are
-/// bit-identical to [`spectral_partition_warm`] — the workspace only
-/// recycles buffer *capacity*, never contents.
-///
-/// # Errors
-/// Same as [`spectral_partition`].
 #[allow(clippy::too_many_arguments)]
 pub fn spectral_partition_warm_ws(
     adj: &CsrMatrix,
@@ -257,7 +209,8 @@ pub fn spectral_partition_warm_ws(
     Ok((result, artifacts))
 }
 
-/// Applies the configured refinement strategy to move from k′ to k.
+/// Moves from k′ to k: recursive bipartitioning of the condensed graph for
+/// k′ > k, largest-first splitting for k′ < k.
 fn refine_to_k(
     adj: &CsrMatrix,
     fine: &Partition,
@@ -270,19 +223,11 @@ fn refine_to_k(
     match kp.cmp(&k) {
         Ordering::Equal => Ok(fine.clone()),
         Ordering::Less => split_to_k(adj, fine, k, kind, &cfg.eigen, &cfg.kmeans),
-        Ordering::Greater => match cfg.refine {
-            RefineStrategy::AcceptNatural => Ok(fine.clone()),
-            RefineStrategy::RecursiveBipartition => {
-                let conn = partition_connectivity(adj, &fine.groups())?;
-                let meta = recursive_bipartition(&conn, k, kind, &cfg.eigen, &cfg.kmeans)?;
-                Ok(fine.compose(&meta))
-            }
-            RefineStrategy::GreedyMerge => {
-                let conn = partition_connectivity(adj, &fine.groups())?;
-                let meta = crate::refine::greedy_merge(&conn, k)?;
-                Ok(fine.compose(&meta))
-            }
-        },
+        Ordering::Greater => {
+            let conn = partition_connectivity(adj, &fine.groups())?;
+            let meta = recursive_bipartition(&conn, k, kind, &cfg.eigen, &cfg.kmeans)?;
+            Ok(fine.compose(&meta))
+        }
     }
 }
 
@@ -295,6 +240,34 @@ fn enforce_connectivity(adj: &CsrMatrix, p: &Partition) -> Result<Partition> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn partition(
+        adj: &CsrMatrix,
+        k: usize,
+        kind: CutKind,
+        cfg: &SpectralConfig,
+    ) -> Result<Partition> {
+        let (mut log, mut ws) = (RecoveryLog::new(), Workspace::new());
+        spectral_partition_warm_ws(adj, k, kind, cfg, None, &mut log, &mut ws).map(|(p, _)| p)
+    }
+
+    /// A 3-way α-Cut with the given warm start and log.
+    fn alpha3(
+        adj: &CsrMatrix,
+        cfg: &SpectralConfig,
+        warm: Option<&SpectralArtifacts>,
+        log: &mut RecoveryLog,
+    ) -> Result<(Partition, SpectralArtifacts)> {
+        spectral_partition_warm_ws(
+            adj,
+            3,
+            CutKind::Alpha,
+            cfg,
+            warm,
+            log,
+            &mut Workspace::new(),
+        )
+    }
 
     /// Chain of `c` cliques of size `s`, bridged weakly.
     fn clique_chain(c: usize, s: usize) -> CsrMatrix {
@@ -317,7 +290,7 @@ mod tests {
     fn recovers_planted_partitions_both_kinds() {
         let adj = clique_chain(3, 5);
         for kind in [CutKind::Alpha, CutKind::Normalized] {
-            let p = spectral_partition(&adj, 3, kind, &SpectralConfig::default()).unwrap();
+            let p = partition(&adj, 3, kind, &SpectralConfig::default()).unwrap();
             assert_eq!(p.k(), 3, "{kind:?}");
             for c in 0..3 {
                 let l = p.label(c * 5);
@@ -332,8 +305,7 @@ mod tests {
     fn partitions_are_connected() {
         let adj = clique_chain(4, 4);
         for k in 2..=5 {
-            let p =
-                spectral_partition(&adj, k, CutKind::Alpha, &SpectralConfig::default()).unwrap();
+            let p = partition(&adj, k, CutKind::Alpha, &SpectralConfig::default()).unwrap();
             // Every partition must be internally connected (C.2).
             let comp = constrained_components(&adj, Some(p.labels())).unwrap();
             let recount = Partition::from_labels(&comp);
@@ -344,16 +316,16 @@ mod tests {
     #[test]
     fn k_bounds() {
         let adj = clique_chain(2, 3);
-        assert!(spectral_partition(&adj, 0, CutKind::Alpha, &SpectralConfig::default()).is_err());
-        assert!(spectral_partition(&adj, 7, CutKind::Alpha, &SpectralConfig::default()).is_err());
-        let p = spectral_partition(&adj, 6, CutKind::Alpha, &SpectralConfig::default()).unwrap();
+        assert!(partition(&adj, 0, CutKind::Alpha, &SpectralConfig::default()).is_err());
+        assert!(partition(&adj, 7, CutKind::Alpha, &SpectralConfig::default()).is_err());
+        let p = partition(&adj, 6, CutKind::Alpha, &SpectralConfig::default()).unwrap();
         assert_eq!(p.k(), 6); // k == n: singletons
     }
 
     #[test]
     fn k1_on_connected_graph() {
         let adj = clique_chain(2, 3);
-        let p = spectral_partition(&adj, 1, CutKind::Alpha, &SpectralConfig::default()).unwrap();
+        let p = partition(&adj, 1, CutKind::Alpha, &SpectralConfig::default()).unwrap();
         assert_eq!(p.k(), 1);
     }
 
@@ -367,7 +339,7 @@ mod tests {
             edges.push((b, b + 2, 1.0));
         }
         let adj = CsrMatrix::from_undirected_edges(6, &edges).unwrap();
-        let p = spectral_partition(&adj, 1, CutKind::Alpha, &SpectralConfig::default()).unwrap();
+        let p = partition(&adj, 1, CutKind::Alpha, &SpectralConfig::default()).unwrap();
         assert_eq!(
             p.k(),
             2,
@@ -376,33 +348,11 @@ mod tests {
     }
 
     #[test]
-    fn greedy_merge_strategy_also_reaches_k() {
-        let adj = clique_chain(4, 4);
-        let cfg = SpectralConfig {
-            refine: RefineStrategy::GreedyMerge,
-            ..SpectralConfig::default()
-        };
-        let p = spectral_partition(&adj, 2, CutKind::Alpha, &cfg).unwrap();
-        assert_eq!(p.k(), 2);
-    }
-
-    #[test]
-    fn accept_natural_keeps_k_prime() {
-        let adj = clique_chain(4, 4);
-        let cfg = SpectralConfig {
-            refine: RefineStrategy::AcceptNatural,
-            ..SpectralConfig::default()
-        };
-        let p = spectral_partition(&adj, 2, CutKind::Alpha, &cfg).unwrap();
-        assert!(p.k() >= 2);
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let adj = clique_chain(3, 4);
         let cfg = SpectralConfig::default().with_seed(7);
-        let a = spectral_partition(&adj, 3, CutKind::Alpha, &cfg).unwrap();
-        let b = spectral_partition(&adj, 3, CutKind::Alpha, &cfg).unwrap();
+        let a = partition(&adj, 3, CutKind::Alpha, &cfg).unwrap();
+        let b = partition(&adj, 3, CutKind::Alpha, &cfg).unwrap();
         assert_eq!(a.labels(), b.labels());
     }
 
@@ -415,15 +365,12 @@ mod tests {
         cfg.eigen.dense_cutoff = 4;
 
         let mut log = RecoveryLog::new();
-        let (cold, artifacts) =
-            spectral_partition_warm(&adj, 3, CutKind::Alpha, &cfg, None, &mut log).unwrap();
+        let (cold, artifacts) = alpha3(&adj, &cfg, None, &mut log).unwrap();
         assert_eq!(artifacts.eigenvectors.rows(), adj.dim());
         assert_eq!(artifacts.eigenvectors.cols(), 3);
         assert_eq!(artifacts.centroids.rows(), 3);
 
-        let (warm, next) =
-            spectral_partition_warm(&adj, 3, CutKind::Alpha, &cfg, Some(&artifacts), &mut log)
-                .unwrap();
+        let (warm, next) = alpha3(&adj, &cfg, Some(&artifacts), &mut log).unwrap();
         assert_eq!(warm.labels(), cold.labels(), "same graph -> same result");
         assert_eq!(next.eigenvectors.rows(), adj.dim());
     }
@@ -438,19 +385,10 @@ mod tests {
             centroids: roadpart_linalg::DenseMatrix::zeros(5, 9),
         };
         let mut log = RecoveryLog::new();
-        let (p, _) =
-            spectral_partition_warm(&adj, 3, CutKind::Alpha, &cfg, Some(&stale), &mut log).unwrap();
+        let (p, _) = alpha3(&adj, &cfg, Some(&stale), &mut log).unwrap();
         assert_eq!(p.k(), 3);
         let mut log2 = RecoveryLog::new();
-        let (p2, _) = spectral_partition_warm(
-            &adj,
-            3,
-            CutKind::Alpha,
-            &cfg,
-            Some(&SpectralArtifacts::empty()),
-            &mut log2,
-        )
-        .unwrap();
+        let (p2, _) = alpha3(&adj, &cfg, Some(&SpectralArtifacts::empty()), &mut log2).unwrap();
         assert_eq!(p2.labels(), p.labels());
     }
 
@@ -460,7 +398,7 @@ mod tests {
         let mut cfg = SpectralConfig::default();
         cfg.fallback.inject_failures = 2; // baseline + relaxed rungs fail
         let mut log = RecoveryLog::new();
-        let p = spectral_partition_recovering(&adj, 3, CutKind::Alpha, &cfg, &mut log).unwrap();
+        let (p, _) = alpha3(&adj, &cfg, None, &mut log).unwrap();
         assert_eq!(p.k(), 3);
         assert_eq!(log.failures(), 2);
         assert!(log.events.last().unwrap().succeeded);

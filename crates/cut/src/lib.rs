@@ -8,11 +8,13 @@
 //!   spectral relaxation of the matrix `M = (1ᵀD)ᵀ(1ᵀD)/(1ᵀD1) − A`;
 //! * [`ncut::normalized_cut`] — the Shi–Malik normalized-cut baseline on
 //!   the same pipeline;
-//! * [`kway::spectral_partition`] — the shared Algorithm-3 pipeline:
-//!   embedding → row normalization (Eq. 8) → eigenspace k-means →
+//! * [`kway::spectral_partition_warm_ws`] — the shared Algorithm-3
+//!   pipeline: embedding → row normalization (Eq. 8) → eigenspace k-means →
 //!   within-cluster connected components → refinement to exactly `k`;
+//! * [`embedding::embedding_recovering_ws`] — its first stage, the
+//!   eigenvectors of either cut matrix behind the solver fallback ladder;
 //! * [`refine`] — partition-connectivity condensation, global recursive
-//!   bipartitioning, greedy merging, and largest-first splitting;
+//!   bipartitioning, and largest-first splitting;
 //! * [`affinity::gaussian_affinity`] — congestion-similarity weighting of
 //!   binary road-graph links for the AG/NG direct schemes.
 
@@ -31,15 +33,9 @@ pub mod refine;
 pub use affinity::{gaussian_affinity, gaussian_affinity_par};
 pub use alpha::alpha_cut;
 pub use bipartition::bipartition;
-pub use embedding::{
-    alpha_embedding, dense_alpha_matrix, embedding, embedding_recovering, embedding_recovering_ws,
-    ncut_embedding, row_normalize, CutKind,
-};
+pub use embedding::{dense_alpha_matrix, embedding_recovering_ws, row_normalize, CutKind};
 pub use error::{CutError, Result};
-pub use kway::{
-    spectral_partition, spectral_partition_recovering, spectral_partition_warm,
-    spectral_partition_warm_ws, RefineStrategy, SpectralArtifacts, SpectralConfig,
-};
+pub use kway::{spectral_partition_warm_ws, RefineStrategy, SpectralArtifacts, SpectralConfig};
 pub use ncut::normalized_cut;
 pub use partition::Partition;
-pub use refine::{greedy_merge, partition_connectivity, recursive_bipartition, split_to_k};
+pub use refine::{partition_connectivity, recursive_bipartition, split_to_k};

@@ -4,8 +4,7 @@
 //! Component extraction after eigenspace k-means may leave k′ ≠ k
 //! partitions. For k′ > k the paper condenses the partitions into a
 //! k′-node *partition connectivity* graph and recursively bipartitions it
-//! (global recursive bipartitioning); greedy pruning (merging nearest pairs)
-//! is implemented as the paper's stated alternative. For k′ < k — a case
+//! (global recursive bipartitioning). For k′ < k — a case
 //! the paper leaves open — the largest partitions are recursively
 //! bipartitioned on the original graph until k is reached.
 
@@ -154,69 +153,6 @@ pub fn split_to_k(
     Ok(partition_from_groups(n, &groups))
 }
 
-/// Greedy pruning (§5.4's alternative to recursive bipartitioning):
-/// repeatedly merges the pair of *adjacent* partitions with the strongest
-/// connectivity in `A'` until `k` remain. Quadratic in k′ — the paper
-/// rejects it for large k′, and we keep it for the ablation bench.
-///
-/// Returns a meta-partition over the k′ input groups.
-///
-/// # Errors
-/// Returns [`CutError::BadPartitionCount`] when `k` is zero.
-pub fn greedy_merge(connectivity: &CsrMatrix, k: usize) -> Result<Partition> {
-    let kp = connectivity.dim();
-    if k == 0 {
-        return Err(CutError::BadPartitionCount {
-            requested: k,
-            nodes: kp,
-        });
-    }
-    // Union-find with a live merged-weight table.
-    let mut parent: Vec<usize> = (0..kp).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    let mut weights: std::collections::BTreeMap<(usize, usize), f64> = connectivity
-        .iter()
-        .filter(|&(i, j, _)| i < j)
-        .map(|(i, j, w)| ((i, j), w))
-        .collect();
-    let mut remaining = kp;
-    while remaining > k {
-        // Strongest adjacent pair of current roots.
-        let Some((&(a, b), _)) = roadpart_linalg::ord::max_by_f64_key(weights.iter(), |e| *e.1)
-        else {
-            break; // disconnected remainder: cannot merge further
-        };
-        let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-        weights.remove(&(a, b));
-        if ra == rb {
-            continue;
-        }
-        parent[rb] = ra;
-        remaining -= 1;
-        // Re-root the weight table on canonical pairs.
-        let mut next: std::collections::BTreeMap<(usize, usize), f64> =
-            std::collections::BTreeMap::new();
-        for ((x, y), w) in std::mem::take(&mut weights) {
-            let (rx, ry) = (find(&mut parent, x), find(&mut parent, y));
-            if rx == ry {
-                continue;
-            }
-            let key = (rx.min(ry), rx.max(ry));
-            let e = next.entry(key).or_insert(0.0);
-            *e = e.max(w);
-        }
-        weights = next;
-    }
-    let labels: Vec<usize> = (0..kp).map(|i| find(&mut parent, i)).collect();
-    Ok(Partition::from_labels(&labels))
-}
-
 fn partition_from_groups(n: usize, groups: &[Vec<usize>]) -> Partition {
     let mut labels = vec![0usize; n];
     for (g, members) in groups.iter().enumerate() {
@@ -314,28 +250,5 @@ mod tests {
         let fine = Partition::from_labels(&[0; 12]); // everything together
         let p = split_to_k(&adj, &fine, 4, CutKind::Alpha, &eig, &km).unwrap();
         assert_eq!(p.k(), 4);
-    }
-
-    #[test]
-    fn greedy_merge_reduces_to_k() {
-        let adj = four_cliques();
-        let groups: Vec<Vec<usize>> = (0..4).map(|c| (3 * c..3 * c + 3).collect()).collect();
-        let conn = partition_connectivity(&adj, &groups).unwrap();
-        let meta = greedy_merge(&conn, 2).unwrap();
-        assert_eq!(meta.k(), 2);
-        // Merging follows the chain: adjacent groups merge first.
-        assert!(greedy_merge(&conn, 0).is_err());
-        let all = greedy_merge(&conn, 1).unwrap();
-        assert_eq!(all.k(), 1);
-        let same = greedy_merge(&conn, 4).unwrap();
-        assert_eq!(same.k(), 4);
-    }
-
-    #[test]
-    fn greedy_merge_disconnected_stops_early() {
-        // Two groups with no connectivity cannot merge below 2.
-        let conn = CsrMatrix::from_triplets(2, &[]).unwrap();
-        let meta = greedy_merge(&conn, 1).unwrap();
-        assert_eq!(meta.k(), 2);
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the graph-cut layer.
 
 use proptest::prelude::*;
-use roadpart_cut::{gaussian_affinity, greedy_merge, partition_connectivity, Partition};
+use roadpart_cut::{gaussian_affinity, partition_connectivity, Partition};
 use roadpart_linalg::CsrMatrix;
 
 fn arb_graph() -> impl Strategy<Value = (CsrMatrix, Vec<f64>)> {
@@ -77,18 +77,6 @@ proptest! {
                 prop_assert_eq!(conn.get(gi, gj) > 0.0, crossing);
             }
         }
-    }
-
-    /// Greedy merging never merges past k and never splits.
-    #[test]
-    fn greedy_merge_bounds((adj, _) in arb_graph(), seed in proptest::collection::vec(0usize..5, 24), k in 1usize..4) {
-        let labels: Vec<usize> = (0..adj.dim()).map(|i| seed[i]).collect();
-        let p = Partition::from_labels(&labels);
-        let conn = partition_connectivity(&adj, &p.groups()).unwrap();
-        let meta = greedy_merge(&conn, k).unwrap();
-        prop_assert!(meta.k() >= k.min(p.k()));
-        prop_assert!(meta.k() <= p.k());
-        prop_assert_eq!(meta.len(), p.k());
     }
 }
 

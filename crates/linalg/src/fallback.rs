@@ -1,15 +1,14 @@
-//! Solver fallback ladder: a recovering wrapper around [`sym_eigs`].
+//! Solver fallback ladder: a recovering wrapper around [`sym_eigs_ws`].
 //!
 //! Lanczos can legitimately fail to converge — tight tolerances on badly
 //! conditioned α-Cut matrices, unlucky starting vectors, or operator entries
 //! poisoned by bad input data. Rather than abort the whole partitioning
-//! pipeline, [`sym_eigs_recovering`] climbs a ladder of progressively more
-//! forgiving solver configurations:
+//! pipeline, [`sym_eigs_recovering_ws`] climbs a ladder of progressively
+//! more forgiving solver configurations:
 //!
 //! 1. **Baseline** — the caller's [`EigenConfig`] as-is;
-//! 2. **RelaxedTolerance** — the convergence tolerance multiplied by
-//!    [`FallbackConfig::tol_relax`] and the restart budget multiplied by
-//!    [`FallbackConfig::restart_boost`];
+//! 2. **RelaxedTolerance** — the convergence tolerance multiplied by 100,
+//!    the restart budget doubled, and full reorthogonalization;
 //! 3. **PerturbedSeed** — the relaxed configuration with a decorrelated
 //!    starting-vector seed, escaping pathological Krylov starts;
 //! 4. **Dense** — exact dense [`eigh`] on the densified operator, attempted
@@ -35,6 +34,14 @@ use crate::lanczos::{densify_with, sym_eigs_ws, EigenConfig, PartialEigen, Reort
 use crate::operator::SymOp;
 use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+
+/// Multiplier applied to `tol` on the relaxed rungs.
+const TOL_RELAX: f64 = 100.0;
+/// Multiplier applied to `max_restarts` on the relaxed rungs.
+const RESTART_BOOST: usize = 2;
+/// XOR mask applied to the seed on the perturbed rung.
+const SEED_PERTURBATION: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Names one rung of the fallback ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -64,12 +71,6 @@ impl FallbackRung {
 /// Ladder policy knobs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FallbackConfig {
-    /// Multiplier applied to `tol` on the relaxed rungs. Default: 100.
-    pub tol_relax: f64,
-    /// Multiplier applied to `max_restarts` on the relaxed rungs. Default: 2.
-    pub restart_boost: usize,
-    /// XOR mask applied to the seed on the perturbed rung.
-    pub seed_perturbation: u64,
     /// Dimension bound under which the dense rung is always attempted.
     /// Default: 4096.
     pub dense_threshold: usize,
@@ -84,9 +85,6 @@ pub struct FallbackConfig {
 impl Default for FallbackConfig {
     fn default() -> Self {
         Self {
-            tol_relax: 100.0,
-            restart_boost: 2,
-            seed_perturbation: 0x9e37_79b9_7f4a_7c15,
             dense_threshold: 4096,
             always_dense_last_resort: true,
             inject_failures: 0,
@@ -145,31 +143,16 @@ impl RecoveryLog {
     }
 }
 
-/// [`sym_eigs`] with the fallback ladder described in the module docs.
+/// [`sym_eigs_ws`] with the fallback ladder described in the module docs.
 ///
-/// On success the returned decomposition is exactly what [`sym_eigs`] (or
-/// the dense rung) produced; `log` gains one event per attempt.
+/// On success the returned decomposition is exactly what [`sym_eigs_ws`]
+/// (or the dense rung) produced; `log` gains one event per attempt. Scratch
+/// buffers come from `ws`, so repeated solves (one per repartitioning
+/// epoch) reuse the pool across calls.
 ///
 /// # Errors
 /// Propagates structural errors immediately, and returns the *last* rung's
 /// numerical error when the whole ladder is exhausted.
-pub fn sym_eigs_recovering(
-    op: &impl SymOp,
-    nev: usize,
-    which: Which,
-    cfg: &EigenConfig,
-    fallback: &FallbackConfig,
-    log: &mut RecoveryLog,
-) -> Result<PartialEigen> {
-    let mut ws = Workspace::new();
-    sym_eigs_recovering_ws(op, nev, which, cfg, fallback, log, &mut ws)
-}
-
-/// [`sym_eigs_recovering`] drawing scratch buffers from `ws`, so repeated
-/// solves (one per repartitioning epoch) reuse the pool across calls.
-///
-/// # Errors
-/// Same contract as [`sym_eigs_recovering`].
 #[allow(clippy::too_many_arguments)]
 pub fn sym_eigs_recovering_ws(
     op: &impl SymOp,
@@ -199,7 +182,7 @@ pub fn sym_eigs_recovering_ws(
                 context: "fault injection (forced failure)",
             })
         } else {
-            run_rung(op, nev, which, cfg, fallback, rung, ws)
+            run_rung(op, nev, which, cfg, rung, ws)
         };
         match attempt {
             Ok(dec) => {
@@ -241,31 +224,31 @@ fn run_rung(
     nev: usize,
     which: Which,
     cfg: &EigenConfig,
-    fallback: &FallbackConfig,
     rung: FallbackRung,
     ws: &mut Workspace,
 ) -> Result<PartialEigen> {
     match rung {
-        FallbackRung::Baseline => sym_eigs_ws(op, nev, which, cfg, ws),
-        FallbackRung::RelaxedTolerance => sym_eigs_ws(op, nev, which, &relaxed(cfg, fallback), ws),
-        FallbackRung::PerturbedSeed => {
-            let mut c = relaxed(cfg, fallback);
-            c.seed ^= fallback.seed_perturbation;
-            sym_eigs_ws(op, nev, which, &c, ws)
-        }
         FallbackRung::Dense => dense_solve(op, nev, which, &cfg.pool),
+        _ => sym_eigs_ws(op, nev, which, &rung_config(cfg, rung), ws),
     }
 }
 
-fn relaxed(cfg: &EigenConfig, fallback: &FallbackConfig) -> EigenConfig {
+/// The Lanczos configuration a non-dense rung runs with.
+fn rung_config(cfg: &EigenConfig, rung: FallbackRung) -> Cow<'_, EigenConfig> {
+    if rung == FallbackRung::Baseline {
+        return Cow::Borrowed(cfg);
+    }
     let mut c = cfg.clone();
-    c.tol *= fallback.tol_relax;
-    c.max_restarts = c.max_restarts.saturating_mul(fallback.restart_boost.max(1));
+    c.tol *= TOL_RELAX;
+    c.max_restarts = c.max_restarts.saturating_mul(RESTART_BOOST);
     // If the baseline attempt failed under selective reorthogonalization,
     // retry with the unconditional sweep: it is slower but numerically the
     // most robust rung of the ladder.
     c.reorth = ReorthPolicy::Full;
-    c
+    if rung == FallbackRung::PerturbedSeed {
+        c.seed ^= SEED_PERTURBATION;
+    }
+    Cow::Owned(c)
 }
 
 /// The dense rung: densify and solve exactly, then slice the wanted end.
@@ -315,19 +298,21 @@ mod tests {
         CsrMatrix::from_triplets(n, &triplets).unwrap()
     }
 
+    fn solve(
+        a: &CsrMatrix,
+        nev: usize,
+        fb: &FallbackConfig,
+        log: &mut RecoveryLog,
+    ) -> Result<PartialEigen> {
+        let (cfg, mut ws) = (EigenConfig::default(), Workspace::new());
+        sym_eigs_recovering_ws(a, nev, Which::Smallest, &cfg, fb, log, &mut ws)
+    }
+
     #[test]
     fn clean_solve_records_single_baseline_event() {
         let a = ring_laplacian(40);
         let mut log = RecoveryLog::new();
-        let dec = sym_eigs_recovering(
-            &a,
-            3,
-            Which::Smallest,
-            &EigenConfig::default(),
-            &FallbackConfig::default(),
-            &mut log,
-        )
-        .unwrap();
+        let dec = solve(&a, 3, &FallbackConfig::default(), &mut log).unwrap();
         assert_eq!(dec.values.len(), 3);
         assert_eq!(log.events.len(), 1);
         assert!(log.is_clean());
@@ -342,15 +327,7 @@ mod tests {
             ..FallbackConfig::default()
         };
         let mut log = RecoveryLog::new();
-        let dec = sym_eigs_recovering(
-            &a,
-            2,
-            Which::Smallest,
-            &EigenConfig::default(),
-            &fb,
-            &mut log,
-        )
-        .unwrap();
+        let dec = solve(&a, 2, &fb, &mut log).unwrap();
         assert_eq!(dec.values.len(), 2);
         let rungs: Vec<FallbackRung> = log.events.iter().map(|e| e.rung).collect();
         assert_eq!(
@@ -369,6 +346,33 @@ mod tests {
     }
 
     #[test]
+    fn relaxed_rungs_pin_their_factors() {
+        let base = EigenConfig {
+            tol: 1e-8,
+            max_restarts: 24,
+            seed: 7,
+            reorth: ReorthPolicy::Selective,
+            ..EigenConfig::default()
+        };
+        let b = rung_config(&base, FallbackRung::Baseline);
+        assert!(
+            matches!(b, Cow::Borrowed(_)),
+            "baseline runs the caller's config"
+        );
+        let r = rung_config(&base, FallbackRung::RelaxedTolerance);
+        assert_eq!(r.tol, 1e-8 * 100.0);
+        assert_eq!(r.max_restarts, 48);
+        assert_eq!(r.reorth, ReorthPolicy::Full);
+        assert_eq!(r.seed, 7);
+        let p = rung_config(&base, FallbackRung::PerturbedSeed);
+        assert_eq!(
+            (p.tol, p.max_restarts, p.reorth),
+            (r.tol, 48, ReorthPolicy::Full)
+        );
+        assert_eq!(p.seed, 7 ^ 0x9e37_79b9_7f4a_7c15);
+    }
+
+    #[test]
     fn full_injection_lands_on_dense_rung() {
         let a = ring_laplacian(30);
         let fb = FallbackConfig {
@@ -376,15 +380,7 @@ mod tests {
             ..FallbackConfig::default()
         };
         let mut log = RecoveryLog::new();
-        let dec = sym_eigs_recovering(
-            &a,
-            2,
-            Which::Smallest,
-            &EigenConfig::default(),
-            &fb,
-            &mut log,
-        )
-        .unwrap();
+        let dec = solve(&a, 2, &fb, &mut log).unwrap();
         assert_eq!(log.events.last().unwrap().rung, FallbackRung::Dense);
         assert!(log.events.last().unwrap().succeeded);
         assert!(dec.values[0].abs() < 1e-8, "ring kernel eigenvalue");
@@ -398,15 +394,7 @@ mod tests {
             ..FallbackConfig::default()
         };
         let mut log = RecoveryLog::new();
-        let err = sym_eigs_recovering(
-            &a,
-            2,
-            Which::Smallest,
-            &EigenConfig::default(),
-            &fb,
-            &mut log,
-        )
-        .unwrap_err();
+        let err = solve(&a, 2, &fb, &mut log).unwrap_err();
         assert!(matches!(err, LinalgError::NotConverged { .. }));
         assert_eq!(log.events.len(), 4);
         assert!(log.events.iter().all(|e| !e.succeeded));
@@ -417,15 +405,7 @@ mod tests {
         let a = ring_laplacian(10);
         let mut log = RecoveryLog::new();
         // nev > n is structural: must fail once, not climb the ladder.
-        let err = sym_eigs_recovering(
-            &a,
-            11,
-            Which::Smallest,
-            &EigenConfig::default(),
-            &FallbackConfig::default(),
-            &mut log,
-        )
-        .unwrap_err();
+        let err = solve(&a, 11, &FallbackConfig::default(), &mut log).unwrap_err();
         assert!(matches!(err, LinalgError::InvalidInput(_)));
         assert_eq!(log.events.len(), 1);
     }
@@ -436,20 +416,11 @@ mod tests {
             dense_threshold: 8,
             always_dense_last_resort: false,
             inject_failures: 4,
-            ..FallbackConfig::default()
         };
         let a = ring_laplacian(30);
         let mut log = RecoveryLog::new();
         // Dense is gated off (30 > 8, no last resort): ladder has 3 rungs.
-        let err = sym_eigs_recovering(
-            &a,
-            2,
-            Which::Smallest,
-            &EigenConfig::default(),
-            &fb,
-            &mut log,
-        )
-        .unwrap_err();
+        let err = solve(&a, 2, &fb, &mut log).unwrap_err();
         assert!(matches!(err, LinalgError::NotConverged { .. }));
         assert_eq!(log.events.len(), 3);
     }

@@ -1,6 +1,6 @@
 //! Matrix-free symmetric Lanczos with ω-monitored selective
 //! reorthogonalization, deflated restarts, and the unified
-//! partial-eigendecomposition entry point [`sym_eigs`].
+//! partial-eigendecomposition entry point [`sym_eigs_ws`].
 //!
 //! The partitioning stack needs the `k` *smallest* eigenpairs of the α-Cut
 //! matrix and of the normalized Laplacian. Both are extremal, which is
@@ -23,10 +23,9 @@
 //!   every iteration regardless of policy — deflation is a correctness
 //!   constraint, not a performance knob.
 //!
-//! All scratch buffers come from a [`Workspace`] pool, so a warm solve (the
-//! steady state of online repartitioning) runs the restart loop
-//! allocation-free; [`sym_eigs`] wraps [`sym_eigs_ws`] with a throwaway
-//! pool for one-shot callers.
+//! All scratch buffers come from a caller-owned [`Workspace`] pool, so a
+//! warm solve (the steady state of online repartitioning) runs the restart
+//! loop allocation-free; one-shot callers pass `&mut Workspace::new()`.
 
 use crate::dense::DenseMatrix;
 use crate::eigen_dense::eigh;
@@ -62,14 +61,15 @@ pub enum ReorthPolicy {
     Selective,
 }
 
-/// Configuration for [`sym_eigs`].
+/// Hard cap on the Krylov subspace dimension per restart.
+const MAX_SUBSPACE: usize = 400;
+
+/// Configuration for [`sym_eigs_ws`].
 #[derive(Debug, Clone)]
 pub struct EigenConfig {
     /// Below this dimension the operator is densified (one apply per unit
     /// vector) and solved exactly with [`eigh`]. Default: 512.
     pub dense_cutoff: usize,
-    /// Hard cap on the Krylov subspace dimension per restart. Default: 400.
-    pub max_subspace: usize,
     /// Maximum number of deflated restarts. Default: 24.
     pub max_restarts: usize,
     /// Relative residual tolerance for Ritz-pair convergence. Default: 1e-8.
@@ -99,7 +99,6 @@ impl Default for EigenConfig {
     fn default() -> Self {
         Self {
             dense_cutoff: 512,
-            max_subspace: 400,
             max_restarts: 24,
             tol: 1e-8,
             seed: 0x5eed_1a27,
@@ -130,34 +129,19 @@ impl PartialEigen {
     }
 }
 
-/// Computes `nev` extremal eigenpairs of a symmetric operator.
+/// Computes `nev` extremal eigenpairs of a symmetric operator, drawing
+/// every scratch buffer from `ws`.
 ///
 /// Small operators (`dim <= cfg.dense_cutoff`) are densified and solved
-/// exactly; larger ones go through deflated-restart Lanczos. Equivalent to
-/// [`sym_eigs_ws`] with a throwaway workspace.
+/// exactly; larger ones go through deflated-restart Lanczos. Repeated solves
+/// against operators of similar dimension (the online repartitioning loop)
+/// reuse the pooled buffers and run the Lanczos iteration allocation-free
+/// after the first call.
 ///
 /// # Errors
 /// Returns [`LinalgError::InvalidInput`] if `nev > op.dim()`, and
 /// [`LinalgError::NotConverged`] if Lanczos exhausts its restart budget
 /// without locking `nev` pairs at the requested tolerance.
-pub fn sym_eigs(
-    op: &impl SymOp,
-    nev: usize,
-    which: Which,
-    cfg: &EigenConfig,
-) -> Result<PartialEigen> {
-    let mut ws = Workspace::new();
-    sym_eigs_ws(op, nev, which, cfg, &mut ws)
-}
-
-/// [`sym_eigs`] drawing every scratch buffer from `ws`.
-///
-/// Repeated solves against operators of similar dimension (the online
-/// repartitioning loop) reuse the pooled buffers and run the Lanczos
-/// iteration allocation-free after the first call.
-///
-/// # Errors
-/// Same contract as [`sym_eigs`].
 pub fn sym_eigs_ws(
     op: &impl SymOp,
     nev: usize,
@@ -499,7 +483,7 @@ fn lanczos_run(
     ws: &mut Workspace,
 ) -> Result<RunResult> {
     let n = op.dim();
-    let m_max = cfg.max_subspace.min(n - locked.len()).max(1);
+    let m_max = MAX_SUBSPACE.min(n - locked.len()).max(1);
     let selective = cfg.reorth == ReorthPolicy::Selective;
 
     let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m_max);
@@ -840,6 +824,10 @@ mod tests {
         CsrMatrix::from_triplets(n, &triplets).unwrap()
     }
 
+    fn solve(op: &impl SymOp, nev: usize, which: Which, cfg: &EigenConfig) -> Result<PartialEigen> {
+        sym_eigs_ws(op, nev, which, cfg, &mut Workspace::new())
+    }
+
     fn lanczos_cfg() -> EigenConfig {
         EigenConfig {
             dense_cutoff: 0, // force Lanczos even for small dims
@@ -851,7 +839,7 @@ mod tests {
     fn smallest_of_ring_laplacian_with_degeneracy() {
         let n = 200;
         let a = ring_laplacian(n);
-        let dec = sym_eigs(&a, 4, Which::Smallest, &lanczos_cfg()).unwrap();
+        let dec = solve(&a, 4, Which::Smallest, &lanczos_cfg()).unwrap();
         // lambda_0 = 0; lambda_1 = lambda_2 = 2 - 2cos(2 pi / n) (degenerate).
         let l1 = 2.0 - 2.0 * (2.0 * std::f64::consts::PI / n as f64).cos();
         assert!(dec.values[0].abs() < 1e-7, "lambda0 = {}", dec.values[0]);
@@ -880,7 +868,7 @@ mod tests {
     fn largest_matches_dense() {
         let n = 120;
         let a = ring_laplacian(n);
-        let lan = sym_eigs(&a, 3, Which::Largest, &lanczos_cfg()).unwrap();
+        let lan = solve(&a, 3, Which::Largest, &lanczos_cfg()).unwrap();
         let dense = eigh(&a.to_dense()).unwrap();
         for j in 0..3 {
             assert!(
@@ -900,7 +888,7 @@ mod tests {
         let d: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
         let s: f64 = d.iter().sum();
         let op = RankOneUpdate::new(&a, d, 1.0 / s, -1.0).unwrap();
-        let lan = sym_eigs(&op, 5, Which::Smallest, &lanczos_cfg()).unwrap();
+        let lan = solve(&op, 5, Which::Smallest, &lanczos_cfg()).unwrap();
         let dense = eigh(&densify(&op)).unwrap();
         for j in 0..5 {
             assert!(
@@ -928,7 +916,7 @@ mod tests {
             }
         }
         let a = CsrMatrix::from_triplets(n, &triplets).unwrap();
-        let dec = sym_eigs(&a, 3, Which::Smallest, &lanczos_cfg()).unwrap();
+        let dec = solve(&a, 3, Which::Smallest, &lanczos_cfg()).unwrap();
         assert!(dec.values[0].abs() < 1e-7);
         assert!(dec.values[1].abs() < 1e-7, "second zero: {}", dec.values[1]);
         assert!(dec.values[2] > 1e-4);
@@ -937,7 +925,7 @@ mod tests {
     #[test]
     fn dense_path_used_below_cutoff() {
         let a = ring_laplacian(16);
-        let dec = sym_eigs(&a, 2, Which::Smallest, &EigenConfig::default()).unwrap();
+        let dec = solve(&a, 2, Which::Smallest, &EigenConfig::default()).unwrap();
         assert!(dec.values[0].abs() < 1e-10);
         assert_eq!(dec.vectors.rows(), 16);
         assert_eq!(dec.vectors.cols(), 2);
@@ -946,23 +934,23 @@ mod tests {
     #[test]
     fn nev_zero_and_too_large() {
         let a = ring_laplacian(10);
-        let dec = sym_eigs(&a, 0, Which::Smallest, &EigenConfig::default()).unwrap();
+        let dec = solve(&a, 0, Which::Smallest, &EigenConfig::default()).unwrap();
         assert!(dec.values.is_empty());
-        assert!(sym_eigs(&a, 11, Which::Smallest, &EigenConfig::default()).is_err());
+        assert!(solve(&a, 11, Which::Smallest, &EigenConfig::default()).is_err());
     }
 
     #[test]
     fn deterministic_given_seed() {
         let a = ring_laplacian(150);
-        let d1 = sym_eigs(&a, 3, Which::Smallest, &lanczos_cfg()).unwrap();
-        let d2 = sym_eigs(&a, 3, Which::Smallest, &lanczos_cfg()).unwrap();
+        let d1 = solve(&a, 3, Which::Smallest, &lanczos_cfg()).unwrap();
+        let d2 = solve(&a, 3, Which::Smallest, &lanczos_cfg()).unwrap();
         assert_eq!(d1.values, d2.values);
     }
 
     #[test]
     fn warm_workspace_reuse_is_bit_identical_and_allocation_free() {
         let a = ring_laplacian(150);
-        let cold = sym_eigs(&a, 3, Which::Smallest, &lanczos_cfg()).unwrap();
+        let cold = solve(&a, 3, Which::Smallest, &lanczos_cfg()).unwrap();
         let mut ws = Workspace::new();
         let first = sym_eigs_ws(&a, 3, Which::Smallest, &lanczos_cfg(), &mut ws).unwrap();
         let warm_fresh = ws.fresh_allocations();
@@ -993,8 +981,8 @@ mod tests {
             reorth: ReorthPolicy::Selective,
             ..lanczos_cfg()
         };
-        let full = sym_eigs(&a, 4, Which::Smallest, &full_cfg).unwrap();
-        let sel = sym_eigs(&a, 4, Which::Smallest, &sel_cfg).unwrap();
+        let full = solve(&a, 4, Which::Smallest, &full_cfg).unwrap();
+        let sel = solve(&a, 4, Which::Smallest, &sel_cfg).unwrap();
         for j in 0..4 {
             assert!(
                 (full.values[j] - sel.values[j]).abs() < 1e-7,
@@ -1029,7 +1017,7 @@ mod tests {
     fn warm_start_converges_in_fewer_iterations() {
         let n = 300;
         let a = ring_laplacian(n);
-        let cold = sym_eigs(&a, 4, Which::Smallest, &lanczos_cfg()).unwrap();
+        let cold = solve(&a, 4, Which::Smallest, &lanczos_cfg()).unwrap();
         assert!(cold.iterations > 0, "Lanczos path must actually iterate");
         // Seed the next solve with the converged eigenvectors (the online
         // repartitioning pattern: epoch t+1 starts from epoch t's basis).
@@ -1037,7 +1025,7 @@ mod tests {
             start: Some(cold.vectors.clone()),
             ..lanczos_cfg()
         };
-        let warm = sym_eigs(&a, 4, Which::Smallest, &warm_cfg).unwrap();
+        let warm = solve(&a, 4, Which::Smallest, &warm_cfg).unwrap();
         for j in 0..4 {
             assert!(
                 (warm.values[j] - cold.values[j]).abs() < 1e-6,
@@ -1069,7 +1057,7 @@ mod tests {
                 start: Some(bad),
                 ..lanczos_cfg()
             };
-            let dec = sym_eigs(&a, 3, Which::Smallest, &cfg).unwrap();
+            let dec = solve(&a, 3, Which::Smallest, &cfg).unwrap();
             assert!(dec.values[0].abs() < 1e-6);
         }
     }
@@ -1079,7 +1067,7 @@ mod tests {
         // nev == n exercises complement exhaustion.
         let n = 24;
         let a = ring_laplacian(n);
-        let dec = sym_eigs(&a, n, Which::Smallest, &lanczos_cfg()).unwrap();
+        let dec = solve(&a, n, Which::Smallest, &lanczos_cfg()).unwrap();
         let dense = eigh(&a.to_dense()).unwrap();
         for j in 0..n {
             assert!(

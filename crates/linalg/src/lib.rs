@@ -20,11 +20,13 @@
 //!   matrix families above;
 //! * [`eigen_dense::eigh`] — Householder tridiagonalization + implicit-shift
 //!   QL (the EISPACK `tred2`/`tql2` pair), exact for small/medium matrices;
-//! * [`lanczos::sym_eigs`] — matrix-free Lanczos with ω-monitored selective
-//!   reorthogonalization for large instances, with automatic fallback to the
-//!   dense path below a configurable cutoff;
-//! * [`workspace::Workspace`] — a scratch-buffer pool threaded through the
-//!   solver (`sym_eigs_ws` and friends) so warm solves run allocation-free;
+//! * [`lanczos::sym_eigs_ws`] — matrix-free Lanczos with ω-monitored
+//!   selective reorthogonalization for large instances, with automatic
+//!   fallback to the dense path below a configurable cutoff;
+//! * [`fallback::sym_eigs_recovering_ws`] — the same solve behind the
+//!   solver fallback ladder;
+//! * [`workspace::Workspace`] — a scratch-buffer pool threaded through both
+//!   solves so warm solves run allocation-free;
 //! * [`par::ThreadPool`] — a std-only chunked scoped-thread pool whose
 //!   fixed chunk boundaries and ordered reductions make every parallel
 //!   kernel bit-identical to its serial counterpart.
@@ -49,11 +51,10 @@ pub use dense::DenseMatrix;
 pub use eigen_dense::{eigh, EigenDecomposition};
 pub use error::{LinalgError, Result};
 pub use fallback::{
-    sym_eigs_recovering, sym_eigs_recovering_ws, FallbackConfig, FallbackRung, RecoveryEvent,
-    RecoveryLog,
+    sym_eigs_recovering_ws, FallbackConfig, FallbackRung, RecoveryEvent, RecoveryLog,
 };
 pub use lanczos::{
-    densify, densify_with, sym_eigs, sym_eigs_ws, EigenConfig, PartialEigen, ReorthPolicy, Which,
+    densify, densify_with, sym_eigs_ws, EigenConfig, PartialEigen, ReorthPolicy, Which,
 };
 pub use operator::{DiagScaledOp, RankOneUpdate, SymOp};
 pub use ord::{cmp_f64, max_by_f64_key, min_by_f64_key, sort_by_f64_key, sort_f64};

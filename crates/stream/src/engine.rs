@@ -17,17 +17,17 @@
 //!    holding the store handle never block and never see a partial update.
 //!
 //! The epoch loop is *self-healing*: numerical solver failures are retried
-//! with rotated seeds and exponential backoff (the batch supervisor's
-//! machinery, inlined into the epoch), and when the retry budget or the
-//! per-epoch deadline ([`ResilienceConfig::epoch_budget_ms`]) is exhausted
-//! the intended action degrades down the ladder Global → Regional → NoOp —
+//! at once with rotated seeds (the batch supervisor's machinery, inlined
+//! into the epoch), and when the retry budget or the per-epoch deadline
+//! ([`ResilienceConfig::epoch_budget_ms`]) is exhausted the intended
+//! action degrades down the ladder Global → Regional → NoOp —
 //! the engine keeps serving the last good snapshot rather than stalling the
 //! readers. Every epoch reports a [`HealthState`] summarizing whether that
 //! machinery had to engage.
 //!
 //! Warm starts make the expensive path cheap: the previous epoch's
 //! eigenvectors seed the Lanczos iteration and its centroids seed the
-//! eigenspace k-means ([`roadpart_cut::spectral_partition_warm`]), so a
+//! eigenspace k-means ([`roadpart_cut::spectral_partition_warm_ws`]), so a
 //! global rebuild after modest drift converges in a fraction of the cold
 //! iteration count.
 
@@ -42,6 +42,7 @@ use crate::report::EpochReport;
 use crate::snapshot::PartitionStore;
 use roadpart::pipeline::STRICT_INVARIANTS;
 use roadpart::sanitize::{sanitize_densities, SanitizePolicy};
+use roadpart::supervisor::SEED_STRIDE;
 use roadpart::{error_chain, repartition_regions, DistributedConfig};
 use roadpart_cut::{
     gaussian_affinity_par, spectral_partition_warm_ws, CutKind, Partition, SpectralArtifacts,
@@ -317,11 +318,10 @@ impl StreamEngine {
     ///
     /// The intended action can *degrade* down the ladder Global → Regional
     /// → NoOp: each rung gets `1 + max_retries` attempts (retryable solver
-    /// failures only, with seed rotation and exponential backoff between
-    /// attempts), and a blown epoch budget under [`DeadlineMode::Degrade`]
-    /// skips straight to the next rung. The store is only touched by a
-    /// fully validated partition; on every failure path readers keep the
-    /// last good snapshot.
+    /// failures only, with the seed rotated between attempts), and a blown
+    /// epoch budget under [`DeadlineMode::Degrade`] skips straight to the
+    /// next rung. The store is only touched by a fully validated partition;
+    /// on every failure path readers keep the last good snapshot.
     ///
     /// # Errors
     /// Returns [`StreamError::InvalidUpdate`] when no densities were ever
@@ -393,13 +393,6 @@ impl StreamEngine {
             }
             let max_attempts = self.cfg.resilience.max_retries + 1;
             for attempt in 0..max_attempts {
-                if attempt > 0 {
-                    let backoff = self.cfg.resilience.backoff_ms(attempt);
-                    resilience.backoff_ms_total += backoff;
-                    if backoff > 0.0 {
-                        std::thread::sleep(std::time::Duration::from_secs_f64(backoff / 1e3));
-                    }
-                }
                 // Deadline gate: checked before the first attempt of each
                 // rung and again before every retry.
                 if let Some(budget) = self.cfg.resilience.epoch_budget_ms {
@@ -497,13 +490,13 @@ impl StreamEngine {
     }
 
     /// The seed a given rung/attempt pair runs under (attempt 0 is the
-    /// configured seed; retries rotate by the configured stride).
+    /// configured seed; retries rotate by [`SEED_STRIDE`]).
     fn attempt_seed(&self, rung: EpochAction, attempt: usize) -> u64 {
         let base = match rung {
             EpochAction::Global => self.cfg.spectral.kmeans.seed,
             _ => self.cfg.regional.framework.mining.seed,
         };
-        base.wrapping_add(attempt as u64 * self.cfg.resilience.seed_stride)
+        base.wrapping_add(attempt as u64 * SEED_STRIDE)
     }
 
     /// Executes one ladder rung once, returning the labels to publish, the

@@ -14,12 +14,12 @@
 //! * [`engine::StreamEngine`] — the epoch loop: probe, act, publish.
 //!   Global rebuilds are **warm-started** from the previous epoch's
 //!   eigenvectors and k-means centroids
-//!   (`roadpart_cut::spectral_partition_warm`);
+//!   (`roadpart_cut::spectral_partition_warm_ws`);
 //! * [`health`] — the self-healing machinery: per-epoch deadline budgets
 //!   with a graceful-degradation ladder (Global → Regional → NoOp),
-//!   bounded retries with seed rotation and exponential backoff, per-source
-//!   quarantine of malformed feeds, and the
-//!   Healthy / Degraded / Quarantining [`health::HealthState`] signal;
+//!   bounded immediate retries with seed rotation, per-source quarantine
+//!   of malformed feeds, and the Healthy / Degraded / Quarantining
+//!   [`health::HealthState`] signal;
 //! * [`snapshot::PartitionStore`] — double-buffered, versioned
 //!   `segment → partition` snapshots with O(1) non-blocking reads;
 //! * [`report::EpochReport`] / [`report::StreamLog`] — machine-readable

@@ -17,6 +17,9 @@ step() {
 step fmt    cargo fmt --all --check
 step clippy cargo clippy --workspace --all-targets -- -D warnings
 step tests  cargo test -q --workspace
+# The paper-scale benchmark is a cargo workspace of its own, so the
+# workspace test run above never builds it; it imports the library API.
+step paperbench cargo test -q --offline --manifest-path paperbench/Cargo.toml
 # Workspace lint pass: builds the interprocedural call graph and exits
 # non-zero when library code regresses against AUDIT_baseline.json
 # (panic reachability from declared entry points, inferred hot-set

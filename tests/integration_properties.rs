@@ -66,10 +66,8 @@ proptest! {
     #[test]
     fn cuts_return_connected_partitions((adj, feats) in arb_graph(), k in 2usize..5) {
         let affinity = roadpart_cut::gaussian_affinity(&adj, &feats).unwrap();
-        for kind in [roadpart_cut::CutKind::Alpha, roadpart_cut::CutKind::Normalized] {
-            let p = roadpart_cut::spectral_partition(
-                &affinity, k.min(adj.dim()), kind, &SpectralConfig::default(),
-            ).unwrap();
+        for cut in [roadpart_cut::alpha_cut, roadpart_cut::normalized_cut] {
+            let p = cut(&affinity, k.min(adj.dim()), &SpectralConfig::default()).unwrap();
             prop_assert_eq!(p.len(), adj.dim());
             let comp = roadpart_cluster::constrained_components(&affinity, Some(p.labels())).unwrap();
             let n_comp = comp.iter().copied().max().map_or(0, |m| m + 1);

@@ -12,7 +12,8 @@
 
 use roadpart::prelude::*;
 use roadpart_linalg::{
-    sym_eigs, CsrMatrix, DiagScaledOp, EigenConfig, RankOneUpdate, ReorthPolicy, SymOp, Which,
+    sym_eigs_ws, CsrMatrix, DiagScaledOp, EigenConfig, RankOneUpdate, ReorthPolicy, SymOp, Which,
+    Workspace,
 };
 
 /// Eigenpairs requested from every operator.
@@ -81,15 +82,12 @@ fn residual(op: &impl SymOp, vectors: &roadpart_linalg::DenseMatrix, theta: f64,
 /// Solves `op` under both policies and checks (a) every Ritz pair of both
 /// solves satisfies the scaled residual bound and (b) the spectra agree.
 fn check_operator(name: &str, op: &impl SymOp) {
-    let full = sym_eigs(op, NEV, Which::Smallest, &eigen_cfg(ReorthPolicy::Full))
+    let full_cfg = eigen_cfg(ReorthPolicy::Full);
+    let full = sym_eigs_ws(op, NEV, Which::Smallest, &full_cfg, &mut Workspace::new())
         .unwrap_or_else(|e| panic!("{name}: full-reorth solve failed: {e}"));
-    let sel = sym_eigs(
-        op,
-        NEV,
-        Which::Smallest,
-        &eigen_cfg(ReorthPolicy::Selective),
-    )
-    .unwrap_or_else(|e| panic!("{name}: selective solve failed: {e}"));
+    let sel_cfg = eigen_cfg(ReorthPolicy::Selective);
+    let sel = sym_eigs_ws(op, NEV, Which::Smallest, &sel_cfg, &mut Workspace::new())
+        .unwrap_or_else(|e| panic!("{name}: selective solve failed: {e}"));
     assert_eq!(full.values.len(), NEV, "{name}: full solve pair count");
     assert_eq!(sel.values.len(), NEV, "{name}: selective solve pair count");
 

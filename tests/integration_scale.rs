@@ -36,7 +36,7 @@ fn m1_scaled_pipeline() {
 /// legitimately tie-break differently.)
 #[test]
 fn lanczos_matches_dense_eigenvalues_on_road_affinity() {
-    use roadpart_linalg::{sym_eigs, EigenConfig, RankOneUpdate, SymOp, Which};
+    use roadpart_linalg::{sym_eigs_ws, EigenConfig, RankOneUpdate, SymOp, Which, Workspace};
     let dataset = roadpart::datasets::d1(0.4, 41).unwrap();
     let mut graph = roadpart_net::RoadGraph::from_network(&dataset.network).unwrap();
     graph
@@ -48,7 +48,7 @@ fn lanczos_matches_dense_eigenvalues_on_road_affinity() {
     let d = affinity.degrees();
     let s: f64 = d.iter().sum();
     let op = RankOneUpdate::new(&affinity, d, 1.0 / s, -1.0).unwrap();
-    let dense = sym_eigs(
+    let dense = sym_eigs_ws(
         &op,
         5,
         Which::Smallest,
@@ -56,9 +56,10 @@ fn lanczos_matches_dense_eigenvalues_on_road_affinity() {
             dense_cutoff: 100_000,
             ..EigenConfig::default()
         },
+        &mut Workspace::new(),
     )
     .unwrap();
-    let lanczos = sym_eigs(
+    let lanczos = sym_eigs_ws(
         &op,
         5,
         Which::Smallest,
@@ -67,6 +68,7 @@ fn lanczos_matches_dense_eigenvalues_on_road_affinity() {
             tol: 1e-9,
             ..EigenConfig::default()
         },
+        &mut Workspace::new(),
     )
     .unwrap();
     for j in 0..5 {
